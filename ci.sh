@@ -11,11 +11,11 @@
 # story rests on: determinism taint from the kernel packages, span-leak
 # freedom on every control-flow path, context discipline on the execution
 # stack, lock discipline, scheduler-owned concurrency, batch-arena escape,
-# and the migrated mklint rules (hot-path keys, engine profiles,
-# stream-rows) — all resolved through go/types. Exit 1 means findings
-# (the JSON report lands in mkvet-report.json for the workflow artifact),
-# exit 2 means the tree does not even type-check; the analyzer's golden
-# corpus tests run as part of the normal test suite.
+# and the hot-path key, engine-profile, and stream-rows rules — all
+# resolved through go/types. Exit 1 means findings (the JSON report lands
+# in mkvet-report.json for the workflow artifact), exit 2 means the tree
+# does not even type-check; the analyzer's golden corpus tests run as part
+# of the normal test suite.
 #
 # Usage: ./ci.sh [build|test|gates]
 #
@@ -94,9 +94,11 @@ stage() {
 bench_gate() {
     # -count=3: mkbenchgate keeps each benchmark's best run, so a loaded CI
     # host doesn't trip the threshold while a real slowdown (all three runs
-    # slow) still does.
+    # slow) still does. -cpu 1 matches the GOMAXPROCS BENCH_kernels.json was
+    # recorded at: the chunk-parallel paths allocate per chunk, so more
+    # cores mean more allocs/op than the baseline's.
     go test -bench 'BenchmarkKernel|BenchmarkRowKey|BenchmarkSortRows|BenchmarkEncodeDecode|BenchmarkPartitionExhaustive|BenchmarkStream' \
-        -benchmem -run '^$' -count=3 -timeout 20m \
+        -benchmem -run '^$' -count=3 -cpu 1 -timeout 20m \
         ./internal/exec ./internal/relation ./internal/bench > /tmp/mk_bench_fresh.txt
     go run ./cmd/mkbench -concurrency 2 -concurrency-json /tmp/mk_conc_fresh.json > /dev/null
     go run ./cmd/mkbenchgate \

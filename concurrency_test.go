@@ -192,10 +192,11 @@ func TestTransientFailureRetries(t *testing.T) {
 		}
 		return nil
 	}
-	if err := run(WithTransientFailures(0.5, 11), WithRetries(20)); err != nil {
+	crashes := func() Option { return WithChaos(&ChaosPlan{JobCrashProb: 0.5, Seed: 11}) }
+	if err := run(crashes(), WithRetries(20)); err != nil {
 		t.Errorf("with retries: %v", err)
 	}
-	if err := run(WithTransientFailures(0.5, 11)); err == nil {
+	if err := run(crashes()); err == nil {
 		t.Error("without retries the transient failure should surface")
 	}
 }

@@ -457,10 +457,10 @@ func TestRunOpMissingInput(t *testing.T) {
 	d := ir.NewDAG()
 	in := d.AddInput("t", "in/t", relation.NewSchema("v:int"))
 	op := d.Add(ir.OpDistinct, "o", ir.Params{}, in)
-	if _, err := RunOp(op, Env{}, newTrace()); err == nil {
+	if _, err := RunOp(op, Env{}, NewTrace()); err == nil {
 		t.Error("missing input not reported")
 	}
-	if _, err := RunOp(in, Env{}, newTrace()); err == nil {
+	if _, err := RunOp(in, Env{}, NewTrace()); err == nil {
 		t.Error("missing input binding not reported")
 	}
 }

@@ -1,6 +1,9 @@
 // Package exec implements the operator semantics of the Musketeer IR: one
-// executable kernel per operator type, a DAG interpreter, and the dynamic
-// WHILE-loop driver.
+// implementation per operator type, a DAG interpreter, and the dynamic
+// WHILE-loop driver. SELECT, PROJECT, ARITH, JOIN and AGG run only through
+// the streaming pipeline (stream.go, driven by fuse.go), where a lone
+// operator is a chain of one; the remaining operators are the materialized
+// kernels in this file.
 //
 // Every back-end engine executes its generated jobs through these kernels,
 // so a single source of truth defines what each operator computes; the
@@ -64,16 +67,51 @@ func operandValue(o ir.Operand, schema relation.Schema, row relation.Row) (relat
 }
 
 // EvalOp executes a single non-WHILE operator on its input relations.
-// The output relation is named op.Out and inherits a logical size scaled by
-// the dominant input's scale ratio (see relation.Relation.LogicalBytes).
+// SELECT, PROJECT, ARITH, JOIN and AGG run as a one-operator pipeline
+// chain. The output relation is named op.Out and inherits a logical size
+// scaled by the dominant input's scale ratio (see account).
 func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) {
+	return evalOp(op, inputs, nil)
+}
+
+// evalOp is EvalOp recording op's volumes into trace (which may be nil).
+func evalOp(op *ir.Op, inputs []*relation.Relation, trace *Trace) (*relation.Relation, error) {
+	if len(inputs) != len(op.Inputs) {
+		return nil, fmt.Errorf("exec: %s: %d input relations for %d inputs", op, len(inputs), len(op.Inputs))
+	}
+	if chainable(op.Type) {
+		specs := []stagePlan{{op: op}}
+		if op.Type == ir.OpJoin {
+			specs[0].buildRel = inputs[1]
+		}
+		return execChain(specs, inputs[0], trace, RunOptions{})
+	}
+	out, err := evalMaterialized(op, inputs)
+	if err != nil {
+		return nil, err
+	}
+	ins := make([]flow, len(inputs))
+	meter := trace != nil
+	for i, in := range inputs {
+		ins[i] = relFlow(in, trace)
+		meter = meter || ins[i].ratio > 1
+	}
+	var phys int64
+	if meter {
+		phys = out.PhysicalBytes()
+	}
+	out.LogicalBytes, _ = account(trace, op, phys, out.NumRows(), ins...)
+	return out, nil
+}
+
+// evalMaterialized runs the kernels of the operators outside the streaming
+// pipeline: set operations, cross join, DISTINCT, SORT, LIMIT, and UDFs.
+func evalMaterialized(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) {
 	// Build a transient schema map from the actual inputs so EvalOp can be
 	// used standalone (engines evaluate fragments operator by operator).
 	schemas := make(map[*ir.Op]relation.Schema)
 	for i, in := range op.Inputs {
-		if i < len(inputs) {
-			schemas[in] = inputs[i].Schema
-		}
+		schemas[in] = inputs[i].Schema
 	}
 	outSchema, err := ir.OutputSchema(op, schemas)
 	if err != nil {
@@ -84,47 +122,6 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 	switch op.Type {
 	case ir.OpInput:
 		return nil, fmt.Errorf("exec: INPUT %s must be resolved from storage, not evaluated", op)
-
-	case ir.OpSelect:
-		in := inputs[0]
-		if len(in.Rows) >= ParallelThreshold {
-			rows, err := parallelFilter(in.Rows, func(row relation.Row) (bool, error) {
-				return EvalPred(op.Params.Pred, in.Schema, row)
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.Rows = rows
-			break
-		}
-		for _, row := range in.Rows {
-			ok, err := EvalPred(op.Params.Pred, in.Schema, row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-
-	case ir.OpProject:
-		in := inputs[0]
-		idx := make([]int, len(op.Params.Columns))
-		for i, col := range op.Params.Columns {
-			idx[i] = in.Schema.Index(col)
-		}
-		// One backing array for all projected rows: a project emits exactly
-		// len(in.Rows) rows of fixed arity, so carve them out of one block.
-		flat := make(relation.Row, len(in.Rows)*len(idx))
-		out.Rows = make([]relation.Row, 0, len(in.Rows))
-		for _, row := range in.Rows {
-			nr := flat[:len(idx):len(idx)]
-			flat = flat[len(idx):]
-			for i, j := range idx {
-				nr[i] = row[j]
-			}
-			out.Rows = append(out.Rows, nr)
-		}
 
 	case ir.OpUnion:
 		out.Rows = make([]relation.Row, 0, len(inputs[0].Rows)+len(inputs[1].Rows))
@@ -159,11 +156,6 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 			}
 		}
 
-	case ir.OpJoin:
-		if err := evalJoin(op, inputs, out); err != nil {
-			return nil, err
-		}
-
 	case ir.OpCrossJoin:
 		l, r := inputs[0], inputs[1]
 		out.Rows = make([]relation.Row, 0, len(l.Rows)*len(r.Rows))
@@ -174,16 +166,6 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 				nr = append(nr, rr...)
 				out.Rows = append(out.Rows, nr)
 			}
-		}
-
-	case ir.OpAgg:
-		if err := evalAgg(op, inputs[0], out); err != nil {
-			return nil, err
-		}
-
-	case ir.OpArith:
-		if err := evalArith(op, inputs[0], out); err != nil {
-			return nil, err
 		}
 
 	case ir.OpDistinct:
@@ -228,24 +210,7 @@ func EvalOp(op *ir.Op, inputs []*relation.Relation) (*relation.Relation, error) 
 		return nil, fmt.Errorf("exec: unknown operator %s", op)
 	}
 
-	propagateScale(out, inputs)
 	return out, nil
-}
-
-// propagateScale stamps the output's logical size: physical bytes times the
-// dominant (maximum) input scale ratio. Workload generators downscale all
-// inputs by a common factor, so this keeps logical volumes consistent as
-// data flows through the workflow.
-func propagateScale(out *relation.Relation, inputs []*relation.Relation) {
-	ratio := 1.0
-	for _, in := range inputs {
-		if r := in.ScaleRatio(); r > ratio {
-			ratio = r
-		}
-	}
-	if ratio > 1 {
-		out.LogicalBytes = int64(float64(out.PhysicalBytes()) * ratio)
-	}
 }
 
 func allCols(r *relation.Relation) []int {
@@ -257,8 +222,7 @@ func allCols(r *relation.Relation) []int {
 }
 
 // joinSpec is a join's resolved column indexes: probe keys, build keys, and
-// the build-side columns the output keeps. Shared by the materialized kernel
-// and the streaming probe stage so both resolve (and fail) identically.
+// the build-side columns the output keeps.
 type joinSpec struct {
 	lIdx, rIdx, rKeep []int
 }
@@ -290,51 +254,6 @@ func resolveJoinSpec(op *ir.Op, l, r relation.Schema) (joinSpec, error) {
 		}
 	}
 	return js, nil
-}
-
-func evalJoin(op *ir.Op, inputs []*relation.Relation, out *relation.Relation) error {
-	l, r := inputs[0], inputs[1]
-	js, err := resolveJoinSpec(op, l.Schema, r.Schema)
-	if err != nil {
-		return err
-	}
-	lIdx, rIdx, rKeep := js.lIdx, js.rIdx, js.rKeep
-	// Hash join: build on the right input, probe with the left. Keys are
-	// 64-bit maphashes verified against the encoded key bytes, so neither
-	// build nor probe allocates a per-row key string. Probing is
-	// embarrassingly parallel; the build table is read-only once complete.
-	build := buildJoinTable(r.Rows, rIdx)
-	emit := func(lr relation.Row, matches []relation.Row, acc []relation.Row) []relation.Row {
-		if len(matches) == 0 {
-			return acc
-		}
-		// One backing array per probe: every output row of this probe has
-		// the same arity, so a key matching m build rows costs one
-		// allocation instead of m.
-		arity := len(lr) + len(rKeep)
-		flat := make(relation.Row, len(matches)*arity)
-		for _, rr := range matches {
-			nr := flat[:arity:arity]
-			flat = flat[arity:]
-			copy(nr, lr)
-			k := len(lr)
-			for _, j := range rKeep {
-				nr[k] = rr[j]
-				k++
-			}
-			acc = append(acc, nr)
-		}
-		return acc
-	}
-	if len(l.Rows) >= ParallelThreshold {
-		out.Rows = parallelProbe(l.Rows, lIdx, build, emit)
-		return nil
-	}
-	var h relation.KeyHasher
-	for _, lr := range l.Rows {
-		out.Rows = emit(lr, build.probe(&h, lr, lIdx), out.Rows)
-	}
-	return nil
 }
 
 type aggState struct {
@@ -411,8 +330,7 @@ func (st *aggState) merge(o *aggState) {
 }
 
 // aggSpec is an aggregation's resolved column indexes: group-by columns and
-// one aggregated column per AggSpec (-1 for COUNT). Shared by the
-// materialized kernel and the streaming aggregation sink.
+// one aggregated column per AggSpec (-1 for COUNT).
 type aggSpec struct {
 	gIdx, aIdx []int
 }
@@ -489,57 +407,4 @@ func emitAggRows(op *ir.Op, in relation.Schema, sp aggSpec, table *aggTable, inR
 		}
 		out.Rows = append(out.Rows, row)
 	}
-}
-
-func evalAgg(op *ir.Op, in *relation.Relation, out *relation.Relation) error {
-	sp, err := resolveAggSpec(op, in.Schema)
-	if err != nil {
-		return err
-	}
-	// Combiner-style evaluation: every supported aggregator is associative
-	// once AVG is decomposed into SUM+COUNT (the decomposition Musketeer's
-	// generated GROUP BY uses, §6.2), so large inputs aggregate per chunk
-	// in parallel and the partial states merge.
-	var table *aggTable
-	if len(in.Rows) >= ParallelThreshold {
-		table = parallelAggregate(in.Rows, sp.gIdx, sp.aIdx)
-	} else {
-		table = aggregateChunk(in.Rows, sp.gIdx, sp.aIdx)
-	}
-	emitAggRows(op, in.Schema, sp, table, len(in.Rows), out)
-	return nil
-}
-
-func evalArith(op *ir.Op, in *relation.Relation, out *relation.Relation) error {
-	dstIdx := in.Schema.Index(op.Params.Dst)
-	inPlace := dstIdx >= 0
-	arity := in.Schema.Arity()
-	if !inPlace {
-		arity++
-	}
-	// Output rows all share one flat backing array; arith emits exactly one
-	// fixed-arity row per input row.
-	flat := make(relation.Row, len(in.Rows)*arity)
-	out.Rows = make([]relation.Row, 0, len(in.Rows))
-	for _, row := range in.Rows {
-		l, err := operandValue(op.Params.ALeft, in.Schema, row)
-		if err != nil {
-			return err
-		}
-		r, err := operandValue(op.Params.ARght, in.Schema, row)
-		if err != nil {
-			return err
-		}
-		v := op.Params.AOp.Apply(l, r)
-		nr := flat[:arity:arity]
-		flat = flat[arity:]
-		copy(nr, row)
-		if inPlace {
-			nr[dstIdx] = v
-		} else {
-			nr[arity-1] = v
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return nil
 }

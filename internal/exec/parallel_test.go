@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,22 +89,29 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	})
 }
 
+// TestParallelSelectPropagatesErrors raises an error in one chunk of a
+// chunk-parallel SELECT and demands that EvalOp return it. A predicate
+// node of unknown kind evaluates as a comparison but declares no columns,
+// so it passes schema validation and fails on the rows that reach it:
+// only the last row does, so only the last chunk fails.
 func TestParallelSelectPropagatesErrors(t *testing.T) {
-	in := bigIntRelation("t", 1000, 4)
+	in := relation.New("t", relation.NewSchema("k:int", "v:int"))
+	for i := 0; i < 1000; i++ {
+		k := int64(0)
+		if i == 999 {
+			k = 50
+		}
+		in.MustAppend(relation.Row{relation.Int(k), relation.Int(int64(i))})
+	}
 	d := ir.NewDAG()
 	src := d.AddInput("t", "in/t", in.Schema)
-	// Predicate referencing a column the rows don't have: rows are
-	// evaluated against a schema claiming a missing column.
+	broken := &ir.Pred{Kind: ir.PredKind(99), LHS: ir.ColRef("ghost"), Cmp: ir.CmpLt, RHS: ir.LitOp(relation.Int(20))}
 	op := d.Add(ir.OpSelect, "out", ir.Params{
-		Pred: ir.Cmp(ir.ColRef("k"), ir.CmpLt, ir.LitOp(relation.Int(20))),
+		Pred: ir.Or(ir.Cmp(ir.ColRef("k"), ir.CmpLt, ir.LitOp(relation.Int(20))), broken),
 	}, src)
-	_ = op
 	withThreshold(t, 1, func() {
-		_, err := parallelFilter(in.Rows, func(row relation.Row) (bool, error) {
-			return false, fmt.Errorf("boom")
-		})
-		if err == nil {
-			t.Error("error swallowed by parallel filter")
+		if _, err := EvalOp(op, []*relation.Relation{in}); err == nil {
+			t.Error("chunk error swallowed by the parallel pipeline")
 		}
 	})
 }

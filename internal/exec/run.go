@@ -59,8 +59,6 @@ func NewTrace() *Trace {
 	return &Trace{OutBytes: map[int]int64{}, OutRows: map[int]int{}, ProcBytes: map[int]int64{}, InBytes: map[int]int64{}, Iterations: map[int]int{}}
 }
 
-func newTrace() *Trace { return NewTrace() }
-
 // Merge folds another trace into t: sizes and counts take the other
 // trace's latest values, processed bytes accumulate.
 func (t *Trace) Merge(o *Trace) {
@@ -95,53 +93,63 @@ func (t *Trace) TotalProcBytes(ids map[int]bool) int64 {
 
 // RunDAG evaluates every operator of the DAG in topological order. Input
 // operators resolve from env by output name (or DFS path); every operator's
-// result is added to the returned environment under its output name.
+// result is added to the returned environment under its output name, so
+// every operator is kept: each pipeline operator runs as a chain of one.
 func RunDAG(d *ir.DAG, env Env) (Env, *Trace, error) {
 	ops, err := d.TopoSort()
 	if err != nil {
 		return nil, nil, err
 	}
 	env = env.Clone()
-	trace := newTrace()
-	// RunDAG's contract is that every operator's result is readable from the
-	// returned environment, so nothing may be elided here: fusion runs where
-	// intermediates are known to be private — engine fragments (RunOps with
-	// a Keep set) and WHILE bodies.
-	if err := RunOps(ops, env, trace, RunOptions{NoFuse: true}); err != nil {
+	trace := NewTrace()
+	if err := RunOps(ops, env, trace, RunOptions{Keep: keepAll}); err != nil {
 		return nil, nil, err
 	}
 	return env, trace, nil
 }
 
+func keepAll(*ir.Op) bool { return true }
+
 // RunOp evaluates one operator against an environment, handling INPUT
-// resolution and WHILE iteration.
+// resolution and WHILE iteration, and records its volumes into trace
+// (which may be nil).
 func RunOp(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
+	return runOp(op, env, trace, RunOptions{})
+}
+
+func runOp(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
+	var rel *relation.Relation
 	switch op.Type {
 	case ir.OpInput:
-		if rel, ok := env[op.Out]; ok {
-			return rel, nil
+		var ok bool
+		if rel, ok = env[op.Out]; !ok {
+			if rel, ok = env[op.Params.Path]; !ok {
+				return nil, fmt.Errorf("exec: input relation %q (path %q) not bound", op.Out, op.Params.Path)
+			}
 		}
-		if rel, ok := env[op.Params.Path]; ok {
-			return rel, nil
-		}
-		return nil, fmt.Errorf("exec: input relation %q (path %q) not bound", op.Out, op.Params.Path)
 	case ir.OpWhile:
-		return RunWhile(op, env, trace)
+		var err error
+		if rel, err = runWhile(op, env, trace, opts); err != nil {
+			return nil, err
+		}
 	default:
 		inputs := make([]*relation.Relation, len(op.Inputs))
-		for i, in := range op.Inputs {
-			rel, ok := env[in.Out]
-			if !ok {
-				return nil, fmt.Errorf("exec: %s: input relation %q not materialized", op, in.Out)
+		for i := range op.Inputs {
+			in, err := boundInput(env, op, i)
+			if err != nil {
+				return nil, err
 			}
-			inputs[i] = rel
-			if trace != nil {
-				trace.ProcBytes[op.ID] += rel.EffectiveBytes()
-				trace.InBytes[op.ID] += rel.EffectiveBytes()
-			}
+			inputs[i] = in
 		}
-		return EvalOp(op, inputs)
+		return evalOp(op, inputs, trace)
 	}
+	// A source or a loop is only sized here: a loop's PROCESS volume is
+	// its body operators'.
+	if trace != nil {
+		trace.OutBytes[op.ID] = rel.EffectiveBytes()
+		trace.OutRows[op.ID] = rel.NumRows()
+	}
+	return rel, nil
 }
 
 // RunWhile drives a WHILE operator: it evaluates the body DAG repeatedly,
@@ -154,9 +162,10 @@ func RunWhile(op *ir.Op, env Env, trace *Trace) (*relation.Relation, error) {
 }
 
 // runWhile implements RunWhile with evaluation options threaded through.
-// Body iterations fuse eligible operator chains: only loop-carried
-// relations, the stop-condition relation, and the result relation are read
-// between iterations, so everything else streams.
+// Body iterations stream through operator chains: only loop-carried
+// relations, the stop-condition relation, the result relation, and what
+// the caller's Keep names are read between iterations, so everything else
+// streams.
 func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Relation, error) {
 	body := op.Params.Body
 	if body == nil {
@@ -190,10 +199,11 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 		keepNames[op.Params.CondRel] = true
 	}
 	bodyOpts := RunOptions{
-		Keep:      func(bop *ir.Op) bool { return keepNames[bop.Out] },
+		Keep: func(bop *ir.Op) bool {
+			return keepNames[bop.Out] || (opts.Keep != nil && opts.Keep(bop))
+		},
 		BatchRows: opts.BatchRows,
 		Check:     opts.Check,
-		NoFuse:    opts.NoFuse,
 	}
 	maxIter := op.Params.MaxIter
 	if maxIter <= 0 {
@@ -204,7 +214,7 @@ func runWhile(op *ir.Op, env Env, trace *Trace, opts RunOptions) (*relation.Rela
 	var lastOut Env
 	for ; iters < maxIter; iters++ {
 		outEnv := loopEnv.Clone()
-		bodyTrace := newTrace()
+		bodyTrace := NewTrace()
 		if err := RunOps(bodyOps, outEnv, bodyTrace, bodyOpts); err != nil {
 			return nil, fmt.Errorf("exec: %s iteration %d: %w", op, iters+1, err)
 		}

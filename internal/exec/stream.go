@@ -5,17 +5,18 @@ import (
 	"musketeer/internal/relation"
 )
 
-// This file holds the streaming operator kernels: relation.RowSource stages
-// that a fused chain composes into a single pull pipeline (see fuse.go for
-// chain planning and the driver). Each stage consumes its upstream via the
-// iterator interface only and reuses its output buffers across batches, so a
-// fused SELECT→PROJECT→AGG chain runs with no per-row allocation and no
-// materialized intermediates.
+// This file holds the streaming operator kernels: the pipeline stages a
+// chain (fuse.go) composes into a single pull pipeline. They are the only
+// implementation of SELECT, PROJECT, ARITH and the JOIN probe, with AGG as
+// the pipeline's sink: a lone operator runs as a chain of one. Each stage
+// consumes its upstream batch by batch and reuses its output buffers across
+// batches, so a SELECT→PROJECT→AGG chain runs with no per-row allocation
+// and no materialized intermediates.
 
-// accTap accumulates the row count and physical byte size of the rows an
-// elided stage emits. The byte computation matches
-// relation.Relation.PhysicalBytes exactly, which is what lets the fused
-// driver reconstruct the same trace a materialized evaluation records.
+// accTap meters the rows an elided stage emits: their count and their TSV
+// size, counted by the same rule as relation.Relation.PhysicalBytes
+// (relation.Row.TextBytes). That is what lets the chain walk record the
+// same trace whether or not a member materialized.
 type accTap struct {
 	rows    int
 	phys    int64
@@ -23,139 +24,180 @@ type accTap struct {
 }
 
 func (a *accTap) addRow(row relation.Row) {
+	n, scratch := row.TextBytes(a.scratch)
 	a.rows++
-	for _, v := range row {
-		if v.Kind == relation.KindString {
-			a.phys += int64(len(v.S)) + 1 // field + separator/newline
-			continue
-		}
-		a.scratch = v.AppendText(a.scratch[:0])
-		a.phys += int64(len(a.scratch)) + 1
-	}
+	a.phys += n
+	a.scratch = scratch
 }
 
-// valArena hands out value storage for constructing stages. A reusable
-// arena recycles one backing slice across batches; a fresh arena allocates
-// per batch, which the last constructing stage before a materializing
-// terminal needs because its rows escape the pipeline.
+// valArena hands out row storage to constructing stages. A scratch arena
+// recycles one header slice and one value block across batches. A durable
+// arena — the last constructing stage before a materializing sink — hands
+// out rows that outlive the batch: it carves them from the blocks it holds,
+// which the driver sizes for the whole output when the chain keeps every
+// row, and otherwise allocates exactly-sized blocks per batch.
 type valArena struct {
-	fresh bool
-	vals  []relation.Value
+	durable bool
+	hdrs    []relation.Row
+	vals    []relation.Value
 }
 
-func (a *valArena) take(n int) []relation.Value {
-	if a.fresh {
-		return make([]relation.Value, n)
+// rows returns n rows of the given arity.
+func (a *valArena) rows(n, arity int) []relation.Row {
+	var hdrs []relation.Row
+	var vals []relation.Value
+	if a.durable {
+		if len(a.hdrs) < n || len(a.vals) < n*arity {
+			a.hdrs, a.vals = make([]relation.Row, n), make([]relation.Value, n*arity)
+		}
+		hdrs, a.hdrs = a.hdrs[:n:n], a.hdrs[n:]
+		vals, a.vals = a.vals[:n*arity], a.vals[n*arity:]
+	} else {
+		if cap(a.hdrs) < n {
+			a.hdrs = make([]relation.Row, n)
+		}
+		if cap(a.vals) < n*arity {
+			a.vals = make([]relation.Value, n*arity)
+		}
+		hdrs, vals = a.hdrs[:n], a.vals[:n*arity]
 	}
-	if cap(a.vals) < n {
-		a.vals = make([]relation.Value, n)
+	for i := range hdrs {
+		hdrs[i] = vals[:arity:arity]
+		vals = vals[arity:]
 	}
-	return a.vals[:n]
+	return hdrs
 }
 
-// scanSource is the head of a fused pipeline. It scans a row range and
-// applies the chain's leading SELECT predicates (predicate pushdown) and an
-// immediately following PROJECT (projection pushdown) during the scan
-// itself, so filtered-out rows are never copied and surviving rows are
-// narrowed before any downstream stage sees them.
-type scanSource struct {
+// stage is one step of a pull pipeline: the scan at its head, or a SELECT,
+// PROJECT, ARITH or JOIN-probe member running plan. A chunk allocates all
+// its stages in one slice, so a pipeline costs one allocation however long
+// its chain is.
+type stage struct {
+	plan *stagePlan // the member this stage runs; for the scan, its pushed-down PROJECT (or nil)
+	src  *stage     // upstream; nil for the scan
+	tap  *accTap    // meters this stage's output; nil when unmetered
+	ar   valArena
+	out  []relation.Row
+
+	// The scan reads a row range and applies the chain's leading SELECTs
+	// (predicate pushdown, each metered by its own tap) and an immediately
+	// following PROJECT (projection pushdown) during the scan itself, so
+	// filtered-out rows are never copied and surviving rows are narrowed
+	// before any downstream stage sees them.
 	in        []relation.Row
 	inSch     relation.Schema
-	sch       relation.Schema // post-projection schema
 	batchRows int
 	pos       int
+	sels      []stagePlan
+	selTaps   []accTap // meters sels[i] for i < len(selTaps)
 
-	preds    []*ir.Pred
-	predTaps []*accTap // aligned with preds; nil entries are unmetered
-
-	proj    []int // projection indexes; nil when no PROJECT folded in
-	projTap *accTap
-	ar      valArena
-
-	out []relation.Row
+	// The JOIN probe hashes through its own KeyHasher: the build table is
+	// read-only and shared across concurrent pipeline instances.
+	h       relation.KeyHasher
+	matches [][]relation.Row
 }
 
-func (s *scanSource) Schema() relation.Schema { return s.sch }
+// Schema implements relation.RowSource.
+func (s *stage) Schema() relation.Schema {
+	if s.plan != nil {
+		return s.plan.sch
+	}
+	return s.inSch
+}
 
-func (s *scanSource) Next() (relation.Batch, error) {
+// Next implements relation.RowSource.
+func (s *stage) Next() (relation.Batch, error) {
+	if s.src == nil {
+		return s.scan()
+	}
+	switch s.plan.op.Type {
+	case ir.OpSelect:
+		return s.filter()
+	case ir.OpProject:
+		return s.project()
+	case ir.OpArith:
+		return s.arith()
+	default:
+		return s.probe()
+	}
+}
+
+// headers returns the stage's reusable batch header slice, emptied and with
+// room for n rows.
+func (s *stage) headers(n int) []relation.Row {
+	if cap(s.out) < n {
+		s.out = make([]relation.Row, 0, n)
+	}
+	return s.out[:0]
+}
+
+func (s *stage) scan() (relation.Batch, error) {
 	n := s.batchRows
 	if n <= 0 {
 		n = relation.DefaultBatchRows
 	}
 	for s.pos < len(s.in) {
-		hi := s.pos + n
-		if hi > len(s.in) {
-			hi = len(s.in)
-		}
-		scan := s.in[s.pos:hi]
+		hi := min(s.pos+n, len(s.in))
+		rows := s.in[s.pos:hi]
 		s.pos = hi
-		s.out = s.out[:0]
-		for _, row := range scan {
-			keep := true
-			for pi, p := range s.preds {
-				ok, err := EvalPred(p, s.inSch, row)
-				if err != nil {
-					return relation.Batch{}, err
+		if len(s.sels) > 0 {
+			s.out = s.headers(len(rows))
+			for _, row := range rows {
+				keep := true
+				for i := range s.sels {
+					ok, err := EvalPred(s.sels[i].pred, s.inSch, row)
+					if err != nil {
+						return relation.Batch{}, err
+					}
+					if !ok {
+						keep = false
+						break
+					}
+					// The tap meters this SELECT's own output: rows it
+					// passes, even ones a later pushed-down predicate drops.
+					if i < len(s.selTaps) {
+						s.selTaps[i].addRow(row)
+					}
 				}
-				if !ok {
-					keep = false
-					break
-				}
-				// The tap meters this SELECT's own output: rows it passes,
-				// even ones a later pushed-down predicate drops.
-				if t := s.predTaps[pi]; t != nil {
-					t.addRow(row)
+				if keep {
+					s.out = append(s.out, row)
 				}
 			}
-			if keep {
-				s.out = append(s.out, row)
-			}
+			rows = s.out
 		}
-		if len(s.out) == 0 {
+		if len(rows) == 0 {
 			continue
 		}
-		if s.proj == nil {
-			return relation.Batch{Rows: s.out}, nil
+		if s.plan == nil {
+			return relation.Batch{Rows: rows}, nil
 		}
-		arity := len(s.proj)
-		vals := s.ar.take(len(s.out) * arity)
-		for i, row := range s.out {
-			nr := relation.Row(vals[:arity:arity])
-			vals = vals[arity:]
-			for k, j := range s.proj {
+		idx := s.plan.idx
+		out := s.ar.rows(len(rows), len(idx))
+		for i, row := range rows {
+			nr := out[i]
+			for k, j := range idx {
 				nr[k] = row[j]
 			}
-			if s.projTap != nil {
-				s.projTap.addRow(nr)
+			if s.tap != nil {
+				s.tap.addRow(nr)
 			}
-			s.out[i] = nr
 		}
-		return relation.Batch{Rows: s.out}, nil
+		return relation.Batch{Rows: out}, nil
 	}
 	return relation.Batch{}, nil
 }
 
-// selectStage filters an upstream source. Rows pass through by reference;
-// the stage owns only the batch header slice.
-type selectStage struct {
-	src  relation.RowSource
-	sch  relation.Schema
-	pred *ir.Pred
-	tap  *accTap
-	out  []relation.Row
-}
-
-func (s *selectStage) Schema() relation.Schema { return s.sch }
-
-func (s *selectStage) Next() (relation.Batch, error) {
+// filter passes upstream rows by reference; the stage owns only the batch
+// header slice.
+func (s *stage) filter() (relation.Batch, error) {
 	for {
 		b, err := s.src.Next()
 		if err != nil || b.Empty() {
 			return relation.Batch{}, err
 		}
-		s.out = s.out[:0]
+		s.out = s.headers(len(b.Rows))
 		for _, row := range b.Rows {
-			ok, err := EvalPred(s.pred, s.sch, row)
+			ok, err := EvalPred(s.plan.pred, s.plan.sch, row)
 			if err != nil {
 				return relation.Batch{}, err
 			}
@@ -173,148 +215,98 @@ func (s *selectStage) Next() (relation.Batch, error) {
 	}
 }
 
-// projectStage narrows rows to a column subset, copying values into its
-// arena (value structs are copied, so outputs never alias upstream storage).
-type projectStage struct {
-	src relation.RowSource
-	sch relation.Schema
-	idx []int
-	tap *accTap
-	ar  valArena
-	out []relation.Row
-}
-
-func (p *projectStage) Schema() relation.Schema { return p.sch }
-
-func (p *projectStage) Next() (relation.Batch, error) {
-	b, err := p.src.Next()
+// project narrows rows to a column subset, copying values into the arena
+// (value structs are copied, so outputs never alias upstream storage).
+func (s *stage) project() (relation.Batch, error) {
+	b, err := s.src.Next()
 	if err != nil || b.Empty() {
 		return relation.Batch{}, err
 	}
-	arity := len(p.idx)
-	vals := p.ar.take(len(b.Rows) * arity)
-	p.out = p.out[:0]
-	for _, row := range b.Rows {
-		nr := relation.Row(vals[:arity:arity])
-		vals = vals[arity:]
-		for k, j := range p.idx {
+	idx := s.plan.idx
+	out := s.ar.rows(len(b.Rows), len(idx))
+	for i, row := range b.Rows {
+		nr := out[i]
+		for k, j := range idx {
 			nr[k] = row[j]
 		}
-		if p.tap != nil {
-			p.tap.addRow(nr)
+		if s.tap != nil {
+			s.tap.addRow(nr)
 		}
-		p.out = append(p.out, nr)
 	}
-	return relation.Batch{Rows: p.out}, nil
+	return relation.Batch{Rows: out}, nil
 }
 
-// arithStage computes a derived column per row, in place of dstIdx or
-// appended when dstIdx is negative.
-type arithStage struct {
-	src    relation.RowSource
-	inSch  relation.Schema
-	sch    relation.Schema
-	op     *ir.Op
-	dstIdx int
-	tap    *accTap
-	ar     valArena
-	out    []relation.Row
-}
-
-func (a *arithStage) Schema() relation.Schema { return a.sch }
-
-func (a *arithStage) Next() (relation.Batch, error) {
-	b, err := a.src.Next()
+// arith computes a derived column per row, in place of dstIdx or appended
+// when dstIdx is negative.
+func (s *stage) arith() (relation.Batch, error) {
+	b, err := s.src.Next()
 	if err != nil || b.Empty() {
 		return relation.Batch{}, err
 	}
-	arity := a.inSch.Arity()
-	if a.dstIdx < 0 {
-		arity++
-	}
-	vals := a.ar.take(len(b.Rows) * arity)
-	a.out = a.out[:0]
-	for _, row := range b.Rows {
-		l, err := operandValue(a.op.Params.ALeft, a.inSch, row)
+	p := s.plan
+	arity := p.sch.Arity()
+	out := s.ar.rows(len(b.Rows), arity)
+	for i, row := range b.Rows {
+		l, err := operandValue(p.op.Params.ALeft, p.inSch, row)
 		if err != nil {
 			return relation.Batch{}, err
 		}
-		r, err := operandValue(a.op.Params.ARght, a.inSch, row)
+		r, err := operandValue(p.op.Params.ARght, p.inSch, row)
 		if err != nil {
 			return relation.Batch{}, err
 		}
-		v := a.op.Params.AOp.Apply(l, r)
-		nr := relation.Row(vals[:arity:arity])
-		vals = vals[arity:]
+		nr := out[i]
 		copy(nr, row)
-		if a.dstIdx >= 0 {
-			nr[a.dstIdx] = v
+		v := p.op.Params.AOp.Apply(l, r)
+		if p.dstIdx >= 0 {
+			nr[p.dstIdx] = v
 		} else {
 			nr[arity-1] = v
 		}
-		if a.tap != nil {
-			a.tap.addRow(nr)
+		if s.tap != nil {
+			s.tap.addRow(nr)
 		}
-		a.out = append(a.out, nr)
 	}
-	return relation.Batch{Rows: a.out}, nil
+	return relation.Batch{Rows: out}, nil
 }
 
-// joinProbeStage probes a pre-built hash-join table with the streaming
-// (left) side, emitting left-row ++ kept-right-column rows. The build table
-// is read-only and may be shared across concurrent pipeline instances; each
-// stage hashes through its own KeyHasher.
-type joinProbeStage struct {
-	src     relation.RowSource
-	sch     relation.Schema
-	lIdx    []int
-	rKeep   []int
-	build   *joinTable
-	h       relation.KeyHasher
-	tap     *accTap
-	ar      valArena
-	out     []relation.Row
-	matches [][]relation.Row
-}
-
-func (j *joinProbeStage) Schema() relation.Schema { return j.sch }
-
-func (j *joinProbeStage) Next() (relation.Batch, error) {
+// probe probes the pre-built hash-join table with the streaming (left)
+// side, emitting left-row ++ kept-right-column rows.
+func (s *stage) probe() (relation.Batch, error) {
+	p := s.plan
 	for {
-		b, err := j.src.Next()
+		b, err := s.src.Next()
 		if err != nil || b.Empty() {
 			return relation.Batch{}, err
 		}
 		total := 0
-		j.matches = j.matches[:0]
+		s.matches = s.matches[:0]
 		for _, lr := range b.Rows {
-			m := j.build.probe(&j.h, lr, j.lIdx)
-			j.matches = append(j.matches, m)
+			m := p.build.probe(&s.h, lr, p.js.lIdx)
+			s.matches = append(s.matches, m)
 			total += len(m)
 		}
 		if total == 0 {
 			continue
 		}
-		arity := j.sch.Arity()
-		vals := j.ar.take(total * arity)
-		j.out = j.out[:0]
+		out := s.ar.rows(total, p.sch.Arity())
+		k := 0
 		for i, lr := range b.Rows {
-			for _, rr := range j.matches[i] {
-				nr := relation.Row(vals[:arity:arity])
-				vals = vals[arity:]
+			for _, rr := range s.matches[i] {
+				nr := out[k]
+				k++
 				copy(nr, lr)
-				k := len(lr)
-				for _, c := range j.rKeep {
-					nr[k] = rr[c]
-					k++
+				c := len(lr)
+				for _, j := range p.js.rKeep {
+					nr[c] = rr[j]
+					c++
 				}
-				if j.tap != nil {
-					j.tap.addRow(nr)
+				if s.tap != nil {
+					s.tap.addRow(nr)
 				}
-				j.out = append(j.out, nr)
 			}
 		}
-		return relation.Batch{Rows: j.out}, nil
+		return relation.Batch{Rows: out}, nil
 	}
 }
 
@@ -339,8 +331,8 @@ func drainAgg(src relation.RowSource, table *aggTable, gIdx, aIdx []int) (int, e
 }
 
 // drainRows is the materializing sink: it appends every batch's row headers
-// to dst (the final constructing stage allocates fresh value storage, so
-// the appended rows are durable).
+// to dst (the final constructing stage carves its rows from a durable
+// arena, so the appended rows outlive the pipeline).
 func drainRows(src relation.RowSource, dst []relation.Row) ([]relation.Row, error) {
 	for {
 		b, err := src.Next()

@@ -50,5 +50,5 @@ func BenchmarkStreamFusedChain(b *testing.B) {
 }
 
 func BenchmarkStreamMaterializedChain(b *testing.B) {
-	benchStreamChain(b, RunOptions{NoFuse: true})
+	benchStreamChain(b, RunOptions{Keep: keepAll})
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"musketeer/internal/relation"
 )
@@ -78,13 +79,16 @@ func OutputSchema(op *Op, schemas map[*Op]relation.Schema) (relation.Schema, err
 }
 
 func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
-	in := make([]relation.Schema, len(op.Inputs))
-	for i, input := range op.Inputs {
+	// Operators have one or two inputs (a WHILE or UDF may have more), so
+	// the input schemas usually stay on the stack.
+	var buf [2]relation.Schema
+	in := buf[:0]
+	for _, input := range op.Inputs {
 		s, ok := known[input]
 		if !ok {
 			return relation.Schema{}, fmt.Errorf("ir: %s: input %s has no inferred schema", op, input)
 		}
-		in[i] = s
+		in = append(in, s)
 	}
 	switch op.Type {
 	case OpInput:
@@ -281,7 +285,7 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 		if !ok {
 			return relation.Schema{}, fmt.Errorf("ir: %s: unregistered UDF %q", op, op.Params.UDFName)
 		}
-		return fn(in)
+		return fn(slices.Clone(in))
 
 	case OpWhile:
 		if op.Params.Body == nil {

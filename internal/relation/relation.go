@@ -165,21 +165,15 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// PhysicalBytes returns the encoded size of the relation's rows. It renders
-// numeric fields into a reused scratch buffer, so sizing a relation (which
-// every operator output pays for via scale propagation) allocates nothing.
+// PhysicalBytes returns the encoded size of the relation's rows (see
+// Row.TextBytes). Numeric fields render into one reused scratch buffer.
 func (r *Relation) PhysicalBytes() int64 {
 	var n int64
 	var scratch []byte
 	for _, row := range r.Rows {
-		for _, v := range row {
-			if v.Kind == KindString {
-				n += int64(len(v.S)) + 1 // field + separator/newline
-				continue
-			}
-			scratch = v.AppendText(scratch[:0])
-			n += int64(len(scratch)) + 1
-		}
+		var b int64
+		b, scratch = row.TextBytes(scratch)
+		n += b
 	}
 	return n
 }

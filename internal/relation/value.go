@@ -245,6 +245,25 @@ func (r Row) Clone() Row {
 	return c
 }
 
+// TextBytes returns the row's size in the TSV encoding: every field's text
+// plus one separator or newline. Numeric fields render into scratch, which
+// is returned (possibly grown) for reuse, so sizing rows allocates nothing
+// in steady state. Relation.PhysicalBytes and the streaming executor's
+// per-stage meters both count through here, which is what keeps fused and
+// materialized traces identical.
+func (r Row) TextBytes(scratch []byte) (int64, []byte) {
+	var n int64
+	for _, v := range r {
+		if v.Kind == KindString {
+			n += int64(len(v.S)) + 1
+			continue
+		}
+		scratch = v.AppendText(scratch[:0])
+		n += int64(len(scratch)) + 1
+	}
+	return n, scratch
+}
+
 // Key renders the projection of r onto cols as a join/group key.
 // The encoding is unambiguous: fields are length-prefixed.
 //

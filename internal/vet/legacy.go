@@ -8,16 +8,14 @@ import (
 	"strings"
 )
 
-// The three remaining mklint rules, migrated onto the typed framework.
-// What changed in the migration:
+// Three source rules resolved through go/types:
 //
-//   - hot-path-keys now resolves the callee through go/types, so
-//     `import f "fmt"; f.Sprintf(...)` no longer slips through.
+//   - hot-path-keys resolves the callee through go/types, so
+//     `import f "fmt"; f.Sprintf(...)` does not slip through.
 //   - engine-profile matches the composite literal's *type* against
-//     engines.Engine instead of its spelled name, so aliases and
-//     qualified forms are equivalent.
+//     engines.Engine, so aliases and qualified forms are equivalent.
 //   - stream-rows decides by the receiver's type (relation.Relation vs
-//     relation.Batch) instead of guessing from the variable's name.
+//     relation.Batch), not by the variable's name.
 
 // checkHotPathKeys bans per-row string building in internal/exec: the
 // hashed-key kernels (PR 1) exist precisely to avoid it.

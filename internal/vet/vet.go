@@ -1,6 +1,5 @@
-// Package vet is Musketeer's type-aware static-analysis framework. It
-// grew out of cmd/mklint's syntactic AST scan: instead of matching token
-// patterns, vet type-checks the whole module (go/ast + go/types + the
+// Package vet is Musketeer's type-aware static-analysis framework. Instead
+// of matching token patterns, vet type-checks the whole module (go/ast + go/types + the
 // toolchain importer — no dependencies), builds per-function control-flow
 // graphs and a module-wide call graph, and runs dataflow passes over them.
 // That is what lets it see through aliased imports, method values,
@@ -18,8 +17,8 @@
 //   - scheduler-only-concurrency: goroutines belong to internal/sched
 //     (bounded fork-join inside the data-parallel kernels excepted)
 //   - arena-escape: batch-borrowed rows never outlive the pipeline
-//   - hot-path-keys, engine-profile, stream-rows: the migrated mklint
-//     rules, now resolved through go/types
+//   - hot-path-keys, engine-profile, stream-rows: per-row key building,
+//     engine profiles, and streaming kernels, resolved through go/types
 //
 // Findings are suppressed line-by-line with `//mkvet:ignore <rule>
 // <reason>`; a reason is mandatory and stale suppressions are themselves

@@ -218,17 +218,6 @@ func DefaultChaos(seed int64, faultsPerHour float64) *ChaosPlan {
 	return chaos.Default(seed, faultsPerHour)
 }
 
-// WithFaults injects worker failures with the given cluster-wide mean time
-// between failures (simulated seconds). Engines recover per their fault-
-// tolerance mechanism (Table 3): Hadoop re-runs tasks, Spark recomputes
-// lineage, Naiad/PowerGraph roll back to checkpoints, single-machine
-// systems restart. Kept as a shorthand for WithChaos with only MTBF set.
-func WithFaults(mtbfSeconds float64, seed int64) Option {
-	return func(m *Musketeer) {
-		m.chaos = &chaos.Plan{MTBFSeconds: mtbfSeconds, Seed: seed}
-	}
-}
-
 // WithConcurrency bounds how many back-end jobs the deployment runs at
 // once across every concurrent workflow execution (admission control).
 // n <= 0 selects the scheduler default, max(4, GOMAXPROCS).
@@ -300,20 +289,6 @@ func WithRunRetention(n int) Option {
 // on the deployment metrics. n <= 0 disables caching (the default).
 func WithPlanCache(n int) Option {
 	return func(m *Musketeer) { m.planCacheCap = n }
-}
-
-// WithTransientFailures kills individual job attempts outright with the
-// given probability (deterministic per seed, job, and attempt). Combine
-// with WithRetries to exercise the scheduler's re-submission path; without
-// a retry budget the first killed attempt fails the workflow.
-func WithTransientFailures(prob float64, seed int64) Option {
-	return func(m *Musketeer) {
-		if m.chaos == nil {
-			m.chaos = &chaos.Plan{}
-		}
-		m.chaos.JobCrashProb = prob
-		m.chaos.Seed = seed
-	}
 }
 
 // New creates a deployment. Default: the 7-node local cluster, all seven
