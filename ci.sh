@@ -40,6 +40,11 @@
 #   flaky gate        — the concurrency/scheduler/chaos suites 3x back to
 #                       back with -shuffle=on: a test that only fails
 #                       sometimes, or only in one order, fails here
+#   identity gate     — the one DAG identity (ir.Canonicalize): canonical
+#                       hash/order invariants, read-only schema inference,
+#                       history keyed canonically (renamed variants reuse
+#                       it, the file format is versioned), plan-cache
+#                       replay, and the learning loop that reads history
 #   service smoke     — the serve plane end to end over httptest: a
 #                       two-engine workflow as one tenant, a plan-cached
 #                       resubmission as another, status polling, and
@@ -167,6 +172,8 @@ if [ "$GROUP" = all ] || [ "$GROUP" = gates ]; then
         go test -count=1 -timeout 5m -run 'TestDebugServerScrape|TestConcurrentScrapeDuringChaoticExecutes|TestPrometheusLinesValid|TestPrometheusByteStableAcrossScrapes' . ./internal/obs
     stage "flaky gate (3x shuffled concurrency/sched/chaos)" \
         go test -short -count=3 -shuffle=on -timeout 15m -run 'Concurrent|Sched|Chaos|Speculat|Fault|Recover' ./internal/sched ./internal/core ./internal/engines .
+    stage "identity gate" \
+        go test -count=1 -timeout 5m -run 'TestCanonical|TestInferSchemas|TestHistory|TestPlanCache|TestAccuracyLearningConverges' ./internal/ir ./internal/core ./internal/bench
     stage "service smoke gate" go test -count=1 -timeout 5m -run 'TestServe' .
     stage "service smoke gate (-race)" go test -race -count=1 -timeout 10m -run 'TestServe' .
     stage "benchmark regression gate" bench_gate

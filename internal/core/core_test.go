@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -141,7 +142,8 @@ func TestEstimatorUsesHistory(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	h := NewHistory()
 	join := dag.ByOut("id_price")
-	h.Observe(dag.Hash(), join.ID, Observation{OutRatio: 0.5})
+	c := ir.Canonicalize(dag)
+	h.ObserveDamped(c.Hash, c.Pos[join], Observation{OutRatio: 0.5}, 0, 1)
 	est, err := NewEstimator(dag, fs, cluster.Local(7), h)
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +515,7 @@ func TestRunnerRecordsHistory(t *testing.T) {
 	fs := seedPropertyDFS(t, 1000)
 	h := NewHistory()
 	runWorkflow(t, dag, fs, cluster.Local(7), allEngines(), h)
-	if h.Coverage(dag.Hash()) == 0 {
+	if h.Coverage(ir.Canonicalize(dag).Hash) == 0 {
 		t.Error("no history recorded")
 	}
 }
@@ -539,8 +541,8 @@ func TestHistoryImprovesEstimates(t *testing.T) {
 	if _, err := r.Execute(dag, part); err != nil {
 		t.Fatal(err)
 	}
-	if h.Coverage(dag.Hash()) < 3 {
-		t.Fatalf("profiling coverage = %d, want all 3 compute ops", h.Coverage(dag.Hash()))
+	if n := h.Coverage(ir.Canonicalize(dag).Hash); n < 3 {
+		t.Fatalf("profiling coverage = %d, want all 3 compute ops", n)
 	}
 	estCold, _ := NewEstimator(maxPropertyPrice(), fs, c, nil)
 	estWarm, _ := NewEstimator(maxPropertyPrice(), fs, c, h)
@@ -840,11 +842,12 @@ func TestRuntimeHistoryDoesNotBiasEstimates(t *testing.T) {
 	}
 	eng := engines.Naiad()
 	estimated := est.FragmentCost(whole, eng)
-	h.ObserveRuntime(est.DAGHash(dag), FragmentKey(whole), eng.Name(), 1.0)
+	cn := est.canon(dag)
+	h.ObserveRuntime(cn.Hash, fragmentKey(cn, whole), eng.Name(), 1.0)
 	if got := est.FragmentCost(whole, eng); got != estimated {
 		t.Errorf("runtime record changed the estimate: %v -> %v", estimated, got)
 	}
-	if _, ok := h.LookupRuntime(est.DAGHash(dag), FragmentKey(whole), eng.Name()); !ok {
+	if _, ok := h.LookupRuntime(cn.Hash, fragmentKey(cn, whole), eng.Name()); !ok {
 		t.Error("runtime record lost")
 	}
 }
@@ -864,7 +867,8 @@ func TestRunnerRecordsJobRuntimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := h.LookupRuntime(dag.Hash(), FragmentKey(part.Jobs[0].Frag), "naiad")
+	cn := ir.Canonicalize(dag)
+	s, ok := h.LookupRuntime(cn.Hash, fragmentKey(cn, part.Jobs[0].Frag), "naiad")
 	if !ok {
 		t.Fatal("no runtime recorded")
 	}
@@ -875,11 +879,14 @@ func TestRunnerRecordsJobRuntimes(t *testing.T) {
 
 func TestHistorySaveLoad(t *testing.T) {
 	h := NewHistory()
-	h.Observe("w1", 3, Observation{OutRatio: 0.25, Iterations: 7})
+	h.ObserveDamped("w1", 3, Observation{OutRatio: 0.25, Iterations: 7}, 0, 1)
 	h.ObserveRuntime("w1", "0,1,2,", "naiad", 42.5)
 	path := filepath.Join(t.TempDir(), "history.json")
 	if err := h.Save(path); err != nil {
 		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), `"format": 2`) {
+		t.Errorf("saved history lacks format 2 (%v):\n%s", err, data)
 	}
 	h2, err := LoadHistory(path)
 	if err != nil {
@@ -895,6 +902,80 @@ func TestHistorySaveLoad(t *testing.T) {
 	h3, err := LoadHistory(filepath.Join(t.TempDir(), "missing.json"))
 	if err != nil || h3 == nil {
 		t.Errorf("missing file should load empty: %v", err)
+	}
+}
+
+// TestHistoryRejectsLegacyFile pins that a history file keyed the old way
+// (no format field: name-sensitive hashes, operator IDs) or of an unknown
+// format fails to load with an error naming the file and the format,
+// instead of loading observations that can never match a workflow.
+func TestHistoryRejectsLegacyFile(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"legacy.json": `{"ops": {"0123456789abcdef": {"3": {"out_ratio": 0.5}}}}`,
+		"future.json": `{"format": 3, "ops": {}}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, err := LoadHistory(path)
+		if err == nil {
+			t.Errorf("%s: loaded (%d observations), want a format error", name, h.Coverage("0123456789abcdef"))
+			continue
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "format") {
+			t.Errorf("%s: error %q does not name the path and the format", name, err)
+		}
+	}
+}
+
+// TestHistoryCarriesOverToRenamedVariant pins the point of canonical
+// history keys: observations from one run of a workflow refine the
+// estimates of a variant whose relations are renamed and whose inputs are
+// declared in the other order, operator for operator.
+func TestHistoryCarriesOverToRenamedVariant(t *testing.T) {
+	fs := seedPropertyDFS(t, 1000)
+	c := cluster.Local(7)
+	h := NewHistory()
+	dag := maxPropertyPrice()
+	est, err := NewEstimator(dag, fs, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := PerOperatorPartitioning(dag, est, engines.Spark())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Ctx: engines.RunContext{DFS: fs, Cluster: c}, History: h, Mode: engines.ModeOptimized}
+	if _, err := r.Execute(dag, part); err != nil {
+		t.Fatal(err)
+	}
+
+	renamed := renamedPropertyPrice()
+	cr := ir.Canonicalize(renamed)
+	if h.Coverage(cr.Hash) == 0 {
+		t.Fatal("history of the original run does not cover the renamed variant")
+	}
+	orig := maxPropertyPrice()
+	co := ir.Canonicalize(orig)
+	estOrig, err := NewEstimator(orig, fs, c, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	estRenamed, err := NewEstimator(renamed, fs, c, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range co.Order {
+		if got, want := estRenamed.Size(cr.Order[i]), estOrig.Size(op); got != want {
+			t.Errorf("position %d: renamed %s estimated %d bytes, original %s %d", i, cr.Order[i], got, op, want)
+		}
+	}
+	// The sizes must come from per-operator observations, not merely from
+	// the class selectivities both estimators share.
+	if _, ok := estRenamed.opObs[renamed.ByOut("r3")]; !ok {
+		t.Error("the renamed variant's join was not estimated from its observation")
 	}
 }
 
@@ -917,7 +998,8 @@ func TestExplainRendersReasoning(t *testing.T) {
 		}
 	}
 	// With a recorded runtime the explanation calls it out.
-	h.ObserveRuntime(est.DAGHash(dag), FragmentKey(part.Jobs[0].Frag), part.Jobs[0].Engine.Name(), 55)
+	c := est.canon(dag)
+	h.ObserveRuntime(c.Hash, fragmentKey(c, part.Jobs[0].Frag), part.Jobs[0].Engine.Name(), 55)
 	text2 := Explain(part, est, allEngines())
 	if !strings.Contains(text2, "recorded runtime") {
 		t.Errorf("explain missing runtime note:\n%s", text2)

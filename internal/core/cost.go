@@ -66,9 +66,9 @@ type Estimator struct {
 	// per-iteration volumes (Observation.ProcBytes et al.) over the
 	// in+out structural model.
 	opObs map[*ir.Op]Observation
-	// hashes caches DAG hashes (top-level and WHILE bodies) for history
-	// lookups.
-	hashes map[*ir.DAG]string
+	// canons caches the canonical identity of the DAG and each WHILE body,
+	// the keys of their history lookups.
+	canons map[*ir.DAG]*ir.Canon
 	// reach[op] is the set of ops transitively reachable from op
 	// (descendants), used by the exhaustive partitioner's cycle check.
 	reach map[*ir.Op]map[*ir.Op]bool
@@ -127,7 +127,7 @@ func NewEstimator(dag *ir.DAG, fs *dfs.DFS, c *cluster.Cluster, h *History) (*Es
 		iters:     map[*ir.Op]int{},
 		inputs:    map[string]int64{},
 		opObs:     map[*ir.Op]Observation{},
-		hashes:    map[*ir.DAG]string{},
+		canons:    map[*ir.DAG]*ir.Canon{},
 		reach:     map[*ir.Op]map[*ir.Op]bool{},
 		fragCache: map[string]fragChoice{},
 		props:     analysis.PropagateProperties(dag),
@@ -212,7 +212,7 @@ func collectInputPaths(d *ir.DAG, acc []string) []string {
 // propagate computes estimated sizes for every op of d. For WHILE bodies,
 // outerSizes binds body input names to outer estimates.
 func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
-	e.hashes[d] = d.Hash()
+	c := e.canon(d)
 	ops, err := d.TopoSort()
 	if err != nil {
 		return err
@@ -245,7 +245,7 @@ func (e *Estimator) propagate(d *ir.DAG, outerSizes map[string]int64) error {
 			// per-class selectivity, which beats the conservative first-run
 			// bound. Within an observation, a damped measured volume beats
 			// the ratio (ratios compound wrongly through iterative bodies).
-			if obs, ok := e.History.Lookup(e.hashes[d], op.ID); ok {
+			if obs, ok := e.History.Lookup(c.Hash, c.Pos[op]); ok {
 				e.opObs[op] = obs
 				if obs.OutBytes > 0 {
 					e.sizes[op] = obs.OutBytes
@@ -275,7 +275,8 @@ func (e *Estimator) propagateWhile(d *ir.DAG, w *ir.Op) error {
 	if iters <= 0 || iters > 1<<16 {
 		iters = DefaultIterEstimate
 	}
-	if obs, ok := e.History.Lookup(e.hashes[d], w.ID); ok && obs.Iterations > 0 {
+	c := e.canon(d)
+	if obs, ok := e.History.Lookup(c.Hash, c.Pos[w]); ok && obs.Iterations > 0 {
 		iters = obs.Iterations
 	}
 	e.iters[w] = iters
@@ -301,14 +302,15 @@ func (e *Estimator) Size(op *ir.Op) int64 { return e.sizes[op] }
 // Iters returns the estimated iteration count of a WHILE operator.
 func (e *Estimator) Iters(op *ir.Op) int { return e.iters[op] }
 
-// DAGHash returns the cached structural hash used for history keys.
-func (e *Estimator) DAGHash(d *ir.DAG) string {
-	if h, ok := e.hashes[d]; ok {
-		return h
+// canon returns the cached canonical identity of d (the estimated DAG or
+// one of its WHILE bodies), computing it on first use.
+func (e *Estimator) canon(d *ir.DAG) *ir.Canon {
+	c, ok := e.canons[d]
+	if !ok {
+		c = ir.Canonicalize(d)
+		e.canons[d] = c
 	}
-	h := d.Hash()
-	e.hashes[d] = h
-	return h
+	return c
 }
 
 // FragmentCost scores running the fragment as a single job on the engine:

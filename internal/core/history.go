@@ -42,9 +42,12 @@ type Observation struct {
 // per-operator observations collected from prior runs — output-size ratios,
 // WHILE iteration counts, and per-job runtimes ("Musketeer collects
 // information about each job it runs (e.g., runtime and input/output
-// sizes)"). Keys are the DAG's structural hash, so re-running the same
-// workflow (even at a different input size) reuses its history. Safe for
-// concurrent use.
+// sizes)"). Keys are the DAG's canonical identity (ir.Canonicalize):
+// observations by (Canon.Hash, Canon.Pos[op]), runtimes by (Canon.Hash,
+// the job's sorted canonical positions, engine). Re-running the same
+// workflow — at a different input size, with relations renamed, or with
+// statements reordered — therefore reuses its history; a WHILE body is
+// its own DAG with its own identity. Safe for concurrent use.
 type History struct {
 	mu sync.RWMutex
 	m  map[string]map[int]Observation
@@ -82,8 +85,8 @@ func (h *History) Calibration() *Calibration {
 }
 
 // runtimeKey identifies a (workflow, fragment, engine) execution. The
-// fragment identity is the sorted operator-ID list, so the same job split
-// matches across rebuilds of the workflow.
+// fragment identity is its sorted canonical-position list (fragmentKey),
+// so the same job split matches across rebuilds of the workflow.
 func runtimeKey(dagHash, fragKey, engine string) string {
 	return dagHash + "|" + fragKey + "|" + engine
 }
@@ -107,18 +110,6 @@ func (h *History) LookupRuntime(dagHash, fragKey, engine string) (float64, bool)
 	return s, ok
 }
 
-// Observe records what an execution saw for one operator.
-func (h *History) Observe(dagHash string, opID int, obs Observation) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	byOp, ok := h.m[dagHash]
-	if !ok {
-		byOp = map[int]Observation{}
-		h.m[dagHash] = byOp
-	}
-	byOp[opID] = obs
-}
-
 // ObserveDamped folds an execution's observation into the store with the
 // calibration loop's damped update: the stored ratio moves fraction alpha
 // of the way from its current value (or, on first evidence, from the
@@ -126,9 +117,9 @@ func (h *History) Observe(dagHash string, opID int, obs Observation) {
 // what makes estimator error shrink monotonically across learning rounds
 // instead of jumping to the first measurement — which may itself be noisy
 // (external-input volumes are observed coarsely). Iteration counts are
-// stored exactly; they are discrete and stable. Observe remains the raw
-// exact-write API.
-func (h *History) ObserveDamped(dagHash string, opID int, obs Observation, prior, alpha float64) {
+// stored exactly; they are discrete and stable. pos is the operator's
+// canonical position in the DAG whose hash is dagHash.
+func (h *History) ObserveDamped(dagHash string, pos int, obs Observation, prior, alpha float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	byOp, ok := h.m[dagHash]
@@ -136,7 +127,7 @@ func (h *History) ObserveDamped(dagHash string, opID int, obs Observation, prior
 		byOp = map[int]Observation{}
 		h.m[dagHash] = byOp
 	}
-	old, seen := byOp[opID]
+	old, seen := byOp[pos]
 	base := prior
 	if seen {
 		base = old.OutRatio
@@ -164,13 +155,13 @@ func (h *History) ObserveDamped(dagHash string, opID int, obs Observation, prior
 	if obs.Iterations == 0 {
 		obs.Iterations = old.Iterations
 	}
-	byOp[opID] = obs
+	byOp[pos] = obs
 }
 
 // ObserveIterations merges a WHILE operator's measured loop count into its
 // observation without disturbing damped ratio/volume evidence recorded by
 // the same run.
-func (h *History) ObserveIterations(dagHash string, opID int, iters int) {
+func (h *History) ObserveIterations(dagHash string, pos int, iters int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	byOp, ok := h.m[dagHash]
@@ -178,19 +169,20 @@ func (h *History) ObserveIterations(dagHash string, opID int, iters int) {
 		byOp = map[int]Observation{}
 		h.m[dagHash] = byOp
 	}
-	old := byOp[opID]
+	old := byOp[pos]
 	if old.OutRatio == 0 {
 		old.OutRatio = 1
 	}
 	old.Iterations = iters
-	byOp[opID] = old
+	byOp[pos] = old
 }
 
-// Lookup returns the stored observation for an operator.
-func (h *History) Lookup(dagHash string, opID int) (Observation, bool) {
+// Lookup returns the stored observation for the operator at canonical
+// position pos.
+func (h *History) Lookup(dagHash string, pos int) (Observation, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	obs, ok := h.m[dagHash][opID]
+	obs, ok := h.m[dagHash][pos]
 	return obs, ok
 }
 
@@ -201,10 +193,15 @@ func (h *History) Coverage(dagHash string) int {
 	return len(h.m[dagHash])
 }
 
+// historyFormat versions the saved layout: 2 keys by canonical identity.
+// Older files keyed by hashes and op IDs that match no workflow now.
+const historyFormat = 2
+
 // persistedHistory is the JSON layout of a saved store. Every field the
 // store holds — observations, runtimes, calibration — round-trips; Save
 // and LoadHistory are symmetric by construction and pinned by test.
 type persistedHistory struct {
+	Format   int                            `json:"format"`
 	Ops      map[string]map[int]Observation `json:"ops"`
 	Runtimes map[string]float64             `json:"runtimes,omitempty"`
 	// Calibration carries the learned rates/selectivities alongside the
@@ -214,7 +211,7 @@ type persistedHistory struct {
 
 // Save writes the store as JSON to path.
 func (h *History) Save(path string) error {
-	p := persistedHistory{}
+	p := persistedHistory{Format: historyFormat}
 	if snap := h.Calibration().Snapshot(); snap.Version > 0 {
 		p.Calibration = &snap
 	}
@@ -229,7 +226,8 @@ func (h *History) Save(path string) error {
 }
 
 // LoadHistory reads a store saved by Save; a missing file yields an empty
-// store so first runs need no setup.
+// store so first runs need no setup. A file of any other format is an
+// error naming the path and the format found.
 func LoadHistory(path string) (*History, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -241,6 +239,10 @@ func LoadHistory(path string) (*History, error) {
 	var p persistedHistory
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("history: %s: %w", path, err)
+	}
+	if p.Format != historyFormat {
+		return nil, fmt.Errorf("history: %s: format %d, want %d (files without a format predate canonical history keys)",
+			path, p.Format, historyFormat)
 	}
 	h := NewHistory()
 	if p.Ops != nil {

@@ -477,22 +477,33 @@ func (w *exhaustiveWorker) prune() cluster.Seconds {
 	return w.bestCost
 }
 
-// FragmentKey identifies a fragment by its sorted operator IDs; stable
-// across rebuilds of the same workflow (IDs are construction-order
-// deterministic).
-func FragmentKey(f *ir.Fragment) string {
-	return groupKey(f.Ops)
-}
-
+// groupKey identifies an op group by its sorted operator IDs — the
+// partition search's memo key (IDs are unique across a DAG's loop bodies).
 func groupKey(group []*ir.Op) string {
 	ids := make([]int, len(group))
 	for i, op := range group {
 		ids[i] = op.ID
 	}
-	sort.Ints(ids)
-	b := make([]byte, 0, 4*len(ids))
-	for _, id := range ids {
-		b = strconv.AppendInt(b, int64(id), 10)
+	return intsKey(ids)
+}
+
+// fragmentKey identifies a fragment by its operators' sorted canonical
+// positions — the recorded-runtime key, stable across renamed and
+// reordered rebuilds of the workflow.
+func fragmentKey(c *ir.Canon, f *ir.Fragment) string {
+	pos := make([]int, len(f.Ops))
+	for i, op := range f.Ops {
+		pos[i] = c.Pos[op]
+	}
+	return intsKey(pos)
+}
+
+// intsKey sorts xs in place and renders it as "a,b,c,".
+func intsKey(xs []int) string {
+	sort.Ints(xs)
+	b := make([]byte, 0, 4*len(xs))
+	for _, x := range xs {
+		b = strconv.AppendInt(b, int64(x), 10)
 		b = append(b, ',')
 	}
 	return string(b)

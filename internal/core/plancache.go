@@ -12,19 +12,19 @@ import (
 )
 
 // PlanCache memoizes partitioning decisions across workflow submissions.
-// The serve path keys it on ir.CanonicalHash of the *optimized* DAG plus
-// the engine set, so two submissions that differ only in relation names or
-// operator insertion order share an entry; on a hit the compile/optimize/
-// partition-search phases are skipped entirely (paper §5.1's exhaustive
-// search is the expensive step this amortizes).
+// The serve path keys it on the canonical hash (ir.Canonicalize) of the
+// *optimized* DAG plus the engine set, so two submissions that differ only
+// in relation names or operator insertion order share an entry; on a hit
+// the compile/optimize/partition-search phases are skipped entirely (paper
+// §5.1's exhaustive search is the expensive step this amortizes).
 //
 // Entries never store operator pointers — a cached plan must replay onto a
 // *different* DAG built from a later submission. Instead each job is a
 // recipe: the chosen engine's name plus the job's operator positions in
-// ir.CanonicalOrder. Hash-equal DAGs have positionally corresponding
-// canonical orders, so replaying a recipe reconstructs semantically
-// identical fragments (ir.NewFragment recomputes ExtIn/ExtOut from the new
-// DAG's real edges). Replay is checked — operator types must match the
+// the canonical order (ir.Canon.Pos). Hash-equal DAGs have positionally
+// corresponding canonical orders, so replaying a recipe reconstructs
+// semantically identical fragments (ir.NewFragment recomputes ExtIn/ExtOut
+// from the new DAG's real edges). Replay is checked — operator types must match the
 // recipe and fragment construction must succeed — and any mismatch demotes
 // the lookup to a miss, so a hash collision degrades to a cold compile, not
 // a wrong plan.
@@ -65,7 +65,7 @@ type planEntry struct {
 // jobRecipe is one job of a cached partitioning, expressed positionally.
 type jobRecipe struct {
 	engine string
-	opIdx  []int       // positions in ir.CanonicalOrder of the whole DAG
+	opIdx  []int       // canonical positions (ir.Canon.Pos) in the whole DAG
 	types  []ir.OpType // replay sanity check, parallel to opIdx
 	cost   cluster.Seconds
 }
@@ -94,7 +94,13 @@ func NewPlanCache(capacity int, reg *obs.Registry) *PlanCache {
 // name/order-independent canonical hash plus the engine names (the same
 // workflow partitioned over fewer engines is a different plan).
 func PlanKey(dag *ir.DAG, engs []*engines.Engine) string {
-	return ir.CanonicalHash(dag) + "/" + engsKey(engs)
+	return CanonPlanKey(ir.Canonicalize(dag), engs)
+}
+
+// CanonPlanKey is PlanKey for a DAG already canonicalized as c, so one
+// submission canonicalizes once for its key, Lookup and Store.
+func CanonPlanKey(c *ir.Canon, engs []*engines.Engine) string {
+	return c.Hash + "/" + engsKey(engs)
 }
 
 // Len reports the number of cached plans.
@@ -107,17 +113,13 @@ func (c *PlanCache) Len() int {
 	return c.ll.Len()
 }
 
-// Store records a partitioning computed for dag (under key, at calibration
-// version calVersion) as a name-free recipe. Plans whose operators cannot
-// be located in the DAG (defensive — fragments always come from it) are
-// dropped silently.
-func (c *PlanCache) Store(key string, dag *ir.DAG, calVersion uint64, p *Partitioning) {
+// Store records a partitioning computed for the DAG canonicalized as canon
+// (under key, at calibration version calVersion) as a name-free recipe.
+// Plans whose operators cannot be located in the DAG (defensive —
+// fragments always come from it) are dropped silently.
+func (c *PlanCache) Store(key string, canon *ir.Canon, calVersion uint64, p *Partitioning) {
 	if c == nil || p == nil {
 		return
-	}
-	pos := make(map[*ir.Op]int, len(dag.Ops))
-	for i, op := range ir.CanonicalOrder(dag) {
-		pos[op] = i
 	}
 	e := &planEntry{
 		key:        key,
@@ -125,7 +127,7 @@ func (c *PlanCache) Store(key string, dag *ir.DAG, calVersion uint64, p *Partiti
 		exhaustive: p.Exhaustive,
 		cost:       p.Cost,
 		jobs:       make([]jobRecipe, 0, len(p.Jobs)),
-		nops:       len(dag.Ops),
+		nops:       len(canon.Order),
 	}
 	for _, j := range p.Jobs {
 		r := jobRecipe{
@@ -135,7 +137,7 @@ func (c *PlanCache) Store(key string, dag *ir.DAG, calVersion uint64, p *Partiti
 			cost:   j.Cost,
 		}
 		for _, op := range j.Frag.Ops {
-			i, ok := pos[op]
+			i, ok := canon.Pos[op]
 			if !ok {
 				return // fragment op outside the DAG; don't cache
 			}
@@ -180,12 +182,12 @@ func (c *PlanCache) Touch(key string, calVersion uint64) {
 }
 
 // Lookup replays the cached plan for key onto dag, which must be the
-// optimized DAG of the new submission. It returns (nil, false) — counting
-// a miss — when the entry is absent, was computed under a different
-// calibration version, names an engine not in engine, or fails replay
-// validation. A stale-version entry is removed so the recomputed plan can
+// optimized DAG of the new submission, canonicalized as canon. It returns
+// (nil, false) — counting a miss — when the entry is absent, was computed
+// under a different calibration version, names an engine not in engine, or
+// fails replay validation. A stale-version entry is removed so the recomputed plan can
 // take its slot.
-func (c *PlanCache) Lookup(key string, dag *ir.DAG, calVersion uint64, engine map[string]*engines.Engine) (*Partitioning, bool) {
+func (c *PlanCache) Lookup(key string, dag *ir.DAG, canon *ir.Canon, calVersion uint64, engine map[string]*engines.Engine) (*Partitioning, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -208,7 +210,7 @@ func (c *PlanCache) Lookup(key string, dag *ir.DAG, calVersion uint64, engine ma
 	c.ll.MoveToFront(el)
 	c.mu.Unlock()
 
-	p, err := c.replay(e, dag, engine)
+	p, err := c.replay(e, dag, canon, engine)
 	if err != nil {
 		return c.miss()
 	}
@@ -226,11 +228,11 @@ func (c *PlanCache) miss() (*Partitioning, bool) {
 }
 
 // replay reconstructs a Partitioning from a recipe against a fresh DAG.
-func (c *PlanCache) replay(e *planEntry, dag *ir.DAG, engine map[string]*engines.Engine) (*Partitioning, error) {
+func (c *PlanCache) replay(e *planEntry, dag *ir.DAG, canon *ir.Canon, engine map[string]*engines.Engine) (*Partitioning, error) {
 	if len(dag.Ops) != e.nops {
 		return nil, fmt.Errorf("core: plan cache: DAG size %d != recipe %d", len(dag.Ops), e.nops)
 	}
-	order := ir.CanonicalOrder(dag)
+	order := canon.Order
 	jobs := make([]Assignment, 0, len(e.jobs))
 	for _, r := range e.jobs {
 		eng, ok := engine[r.engine]

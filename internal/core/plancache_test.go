@@ -55,13 +55,13 @@ func TestPlanCacheReplayOnRenamedDAG(t *testing.T) {
 	p, engs := partitionFixture(t, a)
 	reg := obs.NewRegistry()
 	pc := NewPlanCache(8, reg)
-	pc.Store(PlanKey(a, engs), a, 0, p)
+	pc.Store(PlanKey(a, engs), ir.Canonicalize(a), 0, p)
 
 	b := renamedPropertyPrice()
 	if PlanKey(a, engs) != PlanKey(b, engs) {
 		t.Fatal("renamed DAG has a different plan key")
 	}
-	got, ok := pc.Lookup(PlanKey(b, engs), b, 0, engineByName(engs))
+	got, ok := pc.Lookup(PlanKey(b, engs), b, ir.Canonicalize(b), 0, engineByName(engs))
 	if !ok {
 		t.Fatal("expected a cache hit on the renamed DAG")
 	}
@@ -108,9 +108,9 @@ func TestPlanCacheCalibrationVersionInvalidates(t *testing.T) {
 	p, engs := partitionFixture(t, a)
 	reg := obs.NewRegistry()
 	pc := NewPlanCache(8, reg)
-	pc.Store(PlanKey(a, engs), a, 3, p)
+	pc.Store(PlanKey(a, engs), ir.Canonicalize(a), 3, p)
 
-	if _, ok := pc.Lookup(PlanKey(a, engs), a, 4, engineByName(engs)); ok {
+	if _, ok := pc.Lookup(PlanKey(a, engs), a, ir.Canonicalize(a), 4, engineByName(engs)); ok {
 		t.Fatal("stale calibration version must miss")
 	}
 	if m := reg.Counter("plan_cache_miss_total").Value(); m != 1 {
@@ -129,18 +129,18 @@ func TestPlanCacheBoundedEviction(t *testing.T) {
 	p, engs := partitionFixture(t, a)
 	reg := obs.NewRegistry()
 	pc := NewPlanCache(2, reg)
-	pc.Store("k1", a, 0, p)
-	pc.Store("k2", a, 0, p)
+	pc.Store("k1", ir.Canonicalize(a), 0, p)
+	pc.Store("k2", ir.Canonicalize(a), 0, p)
 	// Touch k1 so it is most recently used, then overflow.
-	pc.Lookup("k1", a, 0, engineByName(engs))
-	pc.Store("k3", a, 0, p)
+	pc.Lookup("k1", a, ir.Canonicalize(a), 0, engineByName(engs))
+	pc.Store("k3", ir.Canonicalize(a), 0, p)
 	if pc.Len() != 2 {
 		t.Fatalf("len = %d, want 2", pc.Len())
 	}
-	if _, ok := pc.Lookup("k2", a, 0, engineByName(engs)); ok {
+	if _, ok := pc.Lookup("k2", a, ir.Canonicalize(a), 0, engineByName(engs)); ok {
 		t.Error("k2 (least recently used) should have been evicted")
 	}
-	if _, ok := pc.Lookup("k1", a, 0, engineByName(engs)); !ok {
+	if _, ok := pc.Lookup("k1", a, ir.Canonicalize(a), 0, engineByName(engs)); !ok {
 		t.Error("k1 (recently used) should survive")
 	}
 	if e := reg.Counter("plan_cache_evict_total").Value(); e != 1 {
@@ -152,8 +152,8 @@ func TestPlanCacheMissingEngineMisses(t *testing.T) {
 	a := maxPropertyPrice()
 	p, engs := partitionFixture(t, a)
 	pc := NewPlanCache(8, nil)
-	pc.Store(PlanKey(a, engs), a, 0, p)
-	if _, ok := pc.Lookup(PlanKey(a, engs), a, 0, map[string]*engines.Engine{}); ok {
+	pc.Store(PlanKey(a, engs), ir.Canonicalize(a), 0, p)
+	if _, ok := pc.Lookup(PlanKey(a, engs), a, ir.Canonicalize(a), 0, map[string]*engines.Engine{}); ok {
 		t.Fatal("replay with no engines available must miss")
 	}
 }
@@ -161,8 +161,8 @@ func TestPlanCacheMissingEngineMisses(t *testing.T) {
 func TestPlanCacheNilSafe(t *testing.T) {
 	var pc *PlanCache
 	a := maxPropertyPrice()
-	pc.Store("k", a, 0, &Partitioning{})
-	if _, ok := pc.Lookup("k", a, 0, nil); ok {
+	pc.Store("k", ir.Canonicalize(a), 0, &Partitioning{})
+	if _, ok := pc.Lookup("k", a, ir.Canonicalize(a), 0, nil); ok {
 		t.Fatal("nil cache must never hit")
 	}
 	if pc.Len() != 0 {
@@ -177,10 +177,10 @@ func TestPlanCacheSizeMismatchMisses(t *testing.T) {
 	a := maxPropertyPrice()
 	p, engs := partitionFixture(t, a)
 	pc := NewPlanCache(8, nil)
-	pc.Store("k", a, 0, p)
+	pc.Store("k", ir.Canonicalize(a), 0, p)
 	small := ir.NewDAG()
 	small.AddInput("x", "in/prices", relation.NewSchema("id:int", "price:float"))
-	if _, ok := pc.Lookup("k", small, 0, engineByName(engs)); ok {
+	if _, ok := pc.Lookup("k", small, ir.Canonicalize(small), 0, engineByName(engs)); ok {
 		t.Fatal("replay onto a different-size DAG must miss")
 	}
 }
@@ -190,16 +190,17 @@ func TestPlanCacheTouchRevalidates(t *testing.T) {
 	p, engs := partitionFixture(t, a)
 	pc := NewPlanCache(8, nil)
 	key := PlanKey(a, engs)
-	pc.Store(key, a, 3, p)
+	pc.Store(key, ir.Canonicalize(a), 3, p)
 
 	// A run's own feedback moved calibration 3 -> 7; Touch re-tags the
 	// entry so the next lookup at 7 hits instead of evicting.
 	pc.Touch(key, 7)
-	if _, ok := pc.Lookup(key, renamedPropertyPrice(), 7, engineByName(engs)); !ok {
+	b := renamedPropertyPrice()
+	if _, ok := pc.Lookup(key, b, ir.Canonicalize(b), 7, engineByName(engs)); !ok {
 		t.Fatal("lookup after Touch missed")
 	}
 	// Foreign feedback after the touch still invalidates.
-	if _, ok := pc.Lookup(key, renamedPropertyPrice(), 8, engineByName(engs)); ok {
+	if _, ok := pc.Lookup(key, b, ir.Canonicalize(b), 8, engineByName(engs)); ok {
 		t.Fatal("lookup at a later version hit a stale entry")
 	}
 	if pc.Len() != 0 {

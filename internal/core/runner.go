@@ -138,7 +138,7 @@ func (r *Runner) ExecuteCtx(ctx context.Context, dag *ir.DAG, part *Partitioning
 	if analyzeErr != nil {
 		return nil, analyzeErr
 	}
-	dagHash := dag.Hash()
+	canons := canonTree(dag, map[*ir.DAG]*ir.Canon{})
 	deps := jobDeps(part)
 
 	ssp := r.Rec.StartSpan(r.Span, "schedule", "pipeline")
@@ -180,9 +180,9 @@ func (r *Runner) ExecuteCtx(ctx context.Context, dag *ir.DAG, part *Partitioning
 					err  error
 				)
 				if w := job.Frag.While(); w != nil && !job.Engine.Profile().NativeIteration {
-					runs, dur, err = r.runWhileDriver(jctx, rctx, dagHash, w, job.Engine)
+					runs, dur, err = r.runWhileDriver(jctx, rctx, canons, dag, w, job.Engine)
 				} else {
-					runs, dur, err = r.runPlain(rctx, dagHash, job)
+					runs, dur, err = r.runPlain(rctx, canons, job)
 				}
 				return sched.Result{Value: runs, Duration: dur}, err
 			},
@@ -195,10 +195,11 @@ func (r *Runner) ExecuteCtx(ctx context.Context, dag *ir.DAG, part *Partitioning
 	}
 
 	res := &WorkflowResult{Makespan: rep.Makespan}
+	c := canons[dag]
 	for i := range part.Jobs {
 		out := rep.Outcomes[i]
 		if r.History != nil {
-			r.History.ObserveRuntime(dagHash, FragmentKey(part.Jobs[i].Frag),
+			r.History.ObserveRuntime(c.Hash, fragmentKey(c, part.Jobs[i].Frag),
 				part.Jobs[i].Engine.Name(), float64(out.Duration))
 		}
 		// Place the job's final attempt on the simulated timeline now that
@@ -280,8 +281,21 @@ func (r *Runner) accuracy(part *Partitioning, deps [][]int, rep *sched.Report) *
 	return acc
 }
 
+// canonTree canonicalizes d and, recursively, every WHILE body inside it:
+// the history keys of one execution, computed once up front and read-only
+// while its jobs run.
+func canonTree(d *ir.DAG, into map[*ir.DAG]*ir.Canon) map[*ir.DAG]*ir.Canon {
+	into[d] = ir.Canonicalize(d)
+	for _, op := range d.Ops {
+		if op.Params.Body != nil {
+			canonTree(op.Params.Body, into)
+		}
+	}
+	return into
+}
+
 // runPlain executes a fragment as a single job.
-func (r *Runner) runPlain(rctx engines.RunContext, dagHash string, job Assignment) ([]*engines.RunResult, cluster.Seconds, error) {
+func (r *Runner) runPlain(rctx engines.RunContext, canons map[*ir.DAG]*ir.Canon, job Assignment) ([]*engines.RunResult, cluster.Seconds, error) {
 	plan, err := job.Engine.Plan(job.Frag, r.Mode)
 	if err != nil {
 		return nil, 0, err
@@ -290,7 +304,7 @@ func (r *Runner) runPlain(rctx engines.RunContext, dagHash string, job Assignmen
 	if err != nil {
 		return nil, 0, err
 	}
-	r.observe(dagHash, job.Frag, jr)
+	r.observe(canons, job.Frag, jr)
 	return []*engines.RunResult{jr}, jr.Makespan, nil
 }
 
@@ -303,7 +317,7 @@ func (r *Runner) runPlain(rctx engines.RunContext, dagHash string, job Assignmen
 // overheads and DFS round-trips are paid every iteration, which is exactly
 // the cost the paper attributes to iterative workflows on MapReduce-class
 // systems.
-func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, dagHash string, w *ir.Op, eng *engines.Engine) ([]*engines.RunResult, cluster.Seconds, error) {
+func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, canons map[*ir.DAG]*ir.Canon, dag *ir.DAG, w *ir.Op, eng *engines.Engine) ([]*engines.RunResult, cluster.Seconds, error) {
 	body := w.Params.Body
 	est, err := NewEstimator(body, nil, rctx.Cluster, r.History)
 	if err != nil {
@@ -390,7 +404,6 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, da
 	if err := forceNeeded(part); err != nil {
 		return nil, 0, err
 	}
-	bodyHash := body.Hash()
 	bodyDeps := jobDeps(part)
 	// Precomputed span names: zero per-iteration allocation when tracing
 	// is off.
@@ -464,7 +477,7 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, da
 		}
 		for ji := range part.Jobs {
 			jr := rep.Outcomes[ji].Value.(*engines.RunResult)
-			r.observe(bodyHash, part.Jobs[ji].Frag, jr)
+			r.observe(canons, part.Jobs[ji].Frag, jr)
 			all = append(all, jr)
 			total += jr.Makespan
 		}
@@ -581,7 +594,8 @@ func (r *Runner) runWhileDriver(ctx context.Context, rctx engines.RunContext, da
 			w.Out, w.Params.CondRel, iters, maxIter)
 	}
 	if r.History != nil {
-		r.History.Observe(dagHash, w.ID, Observation{OutRatio: 1, Iterations: iters})
+		c := canons[dag]
+		r.History.ObserveIterations(c.Hash, c.Pos[w], iters)
 	}
 	// Publish the WHILE's result under its output name in the execution's
 	// view.
@@ -611,11 +625,12 @@ func carriedInputFor(w *ir.Op, resRel string) string {
 // planner's current prior toward the measurement, so estimator error
 // shrinks geometrically across learning rounds instead of locking onto one
 // (possibly noisy) observation.
-func (r *Runner) observe(dagHash string, frag *ir.Fragment, jr *engines.RunResult) {
+func (r *Runner) observe(canons map[*ir.DAG]*ir.Canon, frag *ir.Fragment, jr *engines.RunResult) {
 	if r.History == nil {
 		return
 	}
 	cal := r.History.Calibration()
+	c := canons[frag.DAG()]
 	for _, out := range frag.ExtOut {
 		if jr.Trace.InBytes[out.ID] > 0 {
 			// classObs below records this op from the exact per-operator
@@ -637,29 +652,29 @@ func (r *Runner) observe(dagHash string, frag *ir.Fragment, jr *engines.RunResul
 			continue
 		}
 		outBytes := jr.Trace.OutBytes[out.ID]
-		r.History.ObserveDamped(dagHash, out.ID,
+		r.History.ObserveDamped(c.Hash, c.Pos[out],
 			Observation{OutRatio: float64(outBytes) / float64(in), InBytes: in, OutBytes: outBytes},
 			cal.SelectivityPrior(out.Type), SelectivityDamping)
 	}
 	// Per-op ratios come from the exact per-operator trace volumes (the
 	// engine measured both sides). Each feeds two stores: the per-op
-	// history under its own (sub-)DAG hash — the hash propagate keys body
-	// ops by — so repeat runs of this DAG estimate from exact evidence,
-	// and the per-class calibration, which transfers the (coarser,
-	// cross-workload) signal to DAGs never seen before. The prior is
-	// captured before the class update so the damping base is what the
-	// planner actually used this run.
-	var classObs func(hash string, ops []*ir.Op, iters int64)
-	classObs = func(hash string, ops []*ir.Op, iters int64) {
+	// history under its own (sub-)DAG's canonical identity — the key
+	// propagate looks body ops up by — so repeat runs of this DAG
+	// estimate from exact evidence, and the per-class calibration, which
+	// transfers the (coarser, cross-workload) signal to DAGs never seen
+	// before. The prior is captured before the class update so the
+	// damping base is what the planner actually used this run.
+	var classObs func(c *ir.Canon, ops []*ir.Op, iters int64)
+	classObs = func(c *ir.Canon, ops []*ir.Op, iters int64) {
 		for _, op := range ops {
 			if op.Type == ir.OpWhile {
 				n := int64(1)
 				if it, ok := jr.Trace.Iterations[op.ID]; ok && it > 0 {
-					r.History.ObserveIterations(hash, op.ID, it)
+					r.History.ObserveIterations(c.Hash, c.Pos[op], it)
 					n = int64(it)
 				}
 				if op.Params.Body != nil {
-					classObs(op.Params.Body.Hash(), op.Params.Body.Ops, iters*n)
+					classObs(canons[op.Params.Body], op.Params.Body.Ops, iters*n)
 				}
 				continue
 			}
@@ -673,7 +688,7 @@ func (r *Runner) observe(dagHash string, frag *ir.Fragment, jr *engines.RunResul
 				// Trace volumes accumulate across WHILE iterations; the
 				// history stores per-iteration averages, the granularity
 				// the estimator charges at.
-				r.History.ObserveDamped(hash, op.ID, Observation{
+				r.History.ObserveDamped(c.Hash, c.Pos[op], Observation{
 					OutRatio:  ratio,
 					InBytes:   in / iters,
 					OutBytes:  jr.Trace.OutBytes[op.ID] / iters,
@@ -682,5 +697,5 @@ func (r *Runner) observe(dagHash string, frag *ir.Fragment, jr *engines.RunResul
 			}
 		}
 	}
-	classObs(dagHash, frag.Ops, 1)
+	classObs(c, frag.Ops, 1)
 }

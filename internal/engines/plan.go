@@ -40,8 +40,8 @@ type Stage struct {
 	Shuffle bool
 }
 
-// Plan is an executable physical plan for one back-end job, plus the
-// generated source text for the engine's language.
+// Plan is an executable physical plan for one back-end job; Source renders
+// its generated code in the engine's language.
 type Plan struct {
 	Engine *Engine
 	Frag   *ir.Fragment
@@ -54,8 +54,6 @@ type Plan struct {
 	Iterative bool
 	// While is the fragment's WHILE operator when Iterative.
 	While *ir.Op
-	// Source is the generated code in the engine's language.
-	Source string
 }
 
 // NumStages returns the number of data passes the plan performs.
@@ -89,7 +87,6 @@ func (e *Engine) Plan(f *ir.Fragment, mode PlanMode) (*Plan, error) {
 		ops = append(ops, op)
 	}
 	p.Stages = lowerOps(ops, mode)
-	p.Source = renderSource(e.dialect, p)
 	return p, nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 // dialect selects the target language/API for generated code. Musketeer
 // instantiates per-(operator, back-end) code templates and concatenates
-// them into a job (paper §4.3); renderSource is that template engine.
+// them into a job (paper §4.3); Plan.Source is that template engine.
 type dialect uint8
 
 const (
@@ -40,7 +40,11 @@ func (e *Engine) Language() string {
 	}
 }
 
-func renderSource(d dialect, p *Plan) string {
+// Source renders the plan's generated code in the engine's language. It
+// is rendered on demand — executing a plan never needs the text — and
+// typed from the inferred schemas of the fragment's parent DAG.
+func (p *Plan) Source() string {
+	d := p.Engine.dialect
 	var b strings.Builder
 	fmt.Fprintf(&b, "// musketeer-generated %s code for job %q (%s)\n",
 		p.Engine.Name(), p.Frag.Name(), p.Mode)

@@ -8,14 +8,15 @@ import (
 	"strings"
 )
 
-// Canonicalization gives the plan cache its key: a digest of a DAG's
-// *semantics* — operator kinds, parameters, literals, schemas, and edge
-// structure — that is invariant under the two things that vary freely
-// between textually different submissions of the same workflow: the names
-// chosen for intermediate relations (Op.Out) and the order operators were
-// appended in. Two submissions whose DAGs differ only in those respects
-// canonicalize identically, so a plan computed for one replays on the
-// other.
+// Canonicalization is a DAG's one identity: it keys the plan cache and
+// the workflow-history store. The hash is a digest of the DAG's
+// *semantics* — operator kinds, parameters, literals, declared schemas,
+// and edge structure — that is invariant under the two things that vary
+// freely between textually different submissions of the same workflow:
+// the names chosen for intermediate relations (Op.Out) and the order
+// operators were appended in. Two submissions whose DAGs differ only in
+// those respects canonicalize identically, so a plan computed for one
+// replays on the other and history learned from one applies to the other.
 //
 // The construction is a Weisfeiler–Leman-style color refinement:
 //
@@ -31,63 +32,65 @@ import (
 //     upstream *and* downstream contexts are indistinguishable, i.e. they
 //     are interchangeable for partitioning purposes.
 //
-// CanonicalHash digests the sorted multiset of refined signatures;
-// CanonicalOrder sorts operators by (refined signature, topological
-// position), which gives hash-equal DAGs a positional bijection the plan
-// cache uses to replay fragment recipes.
-//
-// WHILE bodies are folded into their operator's parameter signature *with*
-// relation names included: body relation names are semantically load-
-// bearing (Carried, CondRel, and the outer-name input bridges all refer to
-// them), so renaming inside a loop body is deliberately NOT canonicalized
-// away.
+// WHILE bodies fold into their operator's parameter signature through the
+// same refinement run *with* relation names included: body relation names
+// are semantically load-bearing (Carried, CondRel, and the outer-name
+// input bridges all refer to them), so renaming inside a loop body is
+// deliberately NOT canonicalized away.
 
-// CanonicalHash returns the name- and order-independent semantic digest of
-// the DAG (16 hex characters, like DAG.Hash).
-func CanonicalHash(d *DAG) string {
-	sigs := refinedSigs(d)
-	lines := make([]string, 0, len(d.Ops))
-	for _, s := range sigs {
-		lines = append(lines, s)
-	}
-	sort.Strings(lines)
-	h := sha256.New()
-	fmt.Fprintf(h, "canon:%d|", len(lines))
-	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+// Canon is a DAG's canonical identity.
+type Canon struct {
+	// Hash digests the sorted multiset of refined signatures (16 hex
+	// characters).
+	Hash string
+	// Order sorts the operators by (refined signature, topological
+	// position). For two DAGs with equal Hash the i-th operators of their
+	// orders correspond: equal-signature classes have equal sizes on both
+	// sides, and operators within one class are interchangeable, so the
+	// positional pairing is a semantic bijection.
+	Order []*Op
+	// Pos inverts Order: each operator's name-free position.
+	Pos map[*Op]int
 }
 
-// CanonicalOrder returns the DAG's operators sorted by (refined canonical
-// signature, topological position). For two DAGs with equal CanonicalHash
-// the i-th operators of their canonical orders correspond: equal-signature
-// classes have equal sizes on both sides, and operators within one class
-// are interchangeable, so the positional pairing is a semantic bijection.
-func CanonicalOrder(d *DAG) []*Op {
-	sigs := refinedSigs(d)
+// Canonicalize computes the DAG's canonical identity in one refinement
+// pass. WHILE bodies are not positioned: each is its own DAG.
+func Canonicalize(d *DAG) *Canon { return canonicalize(d, false) }
+
+// canonicalize is Canonicalize; named adds each operator's relation name
+// to its signature, the form a WHILE body folds in as.
+func canonicalize(d *DAG, named bool) *Canon {
+	sigs := refinedSigs(d, named)
 	topoPos := make(map[*Op]int, len(d.Ops))
-	order, err := d.TopoSort()
+	topo, err := d.TopoSort()
 	if err != nil {
-		order = d.Ops
+		topo = d.Ops
 	}
-	for i, op := range order {
+	for i, op := range topo {
 		topoPos[op] = i
 	}
-	out := append([]*Op(nil), d.Ops...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := sigs[out[i]], sigs[out[j]]
+	order := append([]*Op(nil), d.Ops...)
+	sort.SliceStable(order, func(i, j int) bool {
+		si, sj := sigs[order[i]], sigs[order[j]]
 		if si != sj {
 			return si < sj
 		}
-		return topoPos[out[i]] < topoPos[out[j]]
+		return topoPos[order[i]] < topoPos[order[j]]
 	})
-	return out
+	pos := make(map[*Op]int, len(order))
+	h := sha256.New()
+	fmt.Fprintf(h, "canon:%d|", len(order))
+	for i, op := range order {
+		pos[op] = i
+		h.Write([]byte(sigs[op]))
+		h.Write([]byte{'\n'})
+	}
+	return &Canon{Hash: hex.EncodeToString(h.Sum(nil))[:16], Order: order, Pos: pos}
 }
 
-// refinedSigs computes the stable refined signature of every operator.
-func refinedSigs(d *DAG) map[*Op]string {
+// refinedSigs computes the stable refined signature of every operator;
+// named adds each operator's relation name to its signature.
+func refinedSigs(d *DAG, named bool) map[*Op]string {
 	// Round 0: downward structural signatures (full upstream cone).
 	sigs := make(map[*Op]string, len(d.Ops))
 	var down func(op *Op) string
@@ -96,6 +99,10 @@ func refinedSigs(d *DAG) map[*Op]string {
 			return s
 		}
 		var b strings.Builder
+		if named {
+			b.WriteString(op.Out)
+			b.WriteByte('=')
+		}
 		b.WriteString(op.Type.String())
 		b.WriteByte('{')
 		b.WriteString(paramSig(op))
@@ -181,7 +188,7 @@ func paramSig(op *Op) string {
 		fmt.Fprintf(&b, "n=%d", p.Limit)
 	case OpWhile:
 		// Body relation names are load-bearing (Carried / CondRel / outer
-		// bridges), so the body folds in via the name-sensitive DAG hash.
+		// bridges), so the body folds in through a named refinement.
 		carried := make([]string, 0, len(p.Carried))
 		for k, v := range p.Carried {
 			carried = append(carried, k+"->"+v)
@@ -189,7 +196,7 @@ func paramSig(op *Op) string {
 		sort.Strings(carried)
 		body := ""
 		if p.Body != nil {
-			body = p.Body.Hash()
+			body = canonicalize(p.Body, true).Hash
 		}
 		fmt.Fprintf(&b, "body=%s;max=%d;cond=%s;carried=%v", body, p.MaxIter, p.CondRel, carried)
 	}

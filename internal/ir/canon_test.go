@@ -45,28 +45,30 @@ func TestCanonicalHashRenameInvariant(t *testing.T) {
 		"properties": "t0", "prices": "t1", "cheap": "t2",
 		"locs": "t3", "id_price": "t4", "street_price": "t5",
 	}, false, 100)
-	if CanonicalHash(a) != CanonicalHash(b) {
-		t.Errorf("renaming every relation changed the canonical hash: %s vs %s",
-			CanonicalHash(a), CanonicalHash(b))
+	ca, cb := Canonicalize(a), Canonicalize(b)
+	if ca.Hash != cb.Hash {
+		t.Errorf("renaming every relation changed the canonical hash: %s vs %s", ca.Hash, cb.Hash)
 	}
-	if a.Hash() == b.Hash() {
-		t.Error("sanity: the name-sensitive DAG.Hash should differ under renaming")
+	// Positions are the history key of an operator: a renamed operator
+	// keeps its position.
+	if pa, pb := ca.Pos[a.ByOut("street_price")], cb.Pos[b.ByOut("t5")]; pa != pb {
+		t.Errorf("renamed agg at position %d, original at %d", pb, pa)
 	}
 }
 
 func TestCanonicalHashOrderInvariant(t *testing.T) {
 	a := canonWorkflow(nil, false, 100)
 	b := canonWorkflow(nil, true, 100)
-	if CanonicalHash(a) != CanonicalHash(b) {
+	if Canonicalize(a).Hash != Canonicalize(b).Hash {
 		t.Errorf("reordering op insertion changed the canonical hash: %s vs %s",
-			CanonicalHash(a), CanonicalHash(b))
+			Canonicalize(a).Hash, Canonicalize(b).Hash)
 	}
 }
 
 func TestCanonicalHashLiteralSensitive(t *testing.T) {
 	a := canonWorkflow(nil, false, 100)
 	b := canonWorkflow(nil, false, 200)
-	if CanonicalHash(a) == CanonicalHash(b) {
+	if Canonicalize(a).Hash == Canonicalize(b).Hash {
 		t.Error("changing a predicate literal did not change the canonical hash")
 	}
 }
@@ -77,7 +79,7 @@ func TestCanonicalHashStructureSensitive(t *testing.T) {
 	// Same ops, different wiring: aggregate the projection instead of the join.
 	agg := b.ByOut("street_price")
 	agg.Inputs = []*Op{b.ByOut("locs")}
-	if CanonicalHash(a) == CanonicalHash(b) {
+	if Canonicalize(a).Hash == Canonicalize(b).Hash {
 		t.Error("rewiring an edge did not change the canonical hash")
 	}
 }
@@ -88,7 +90,7 @@ func TestCanonicalOrderBijection(t *testing.T) {
 		"properties": "x0", "prices": "x1", "cheap": "x2",
 		"locs": "x3", "id_price": "x4", "street_price": "x5",
 	}, true, 100)
-	oa, ob := CanonicalOrder(a), CanonicalOrder(b)
+	oa, ob := Canonicalize(a).Order, Canonicalize(b).Order
 	if len(oa) != len(ob) {
 		t.Fatalf("order lengths differ: %d vs %d", len(oa), len(ob))
 	}
@@ -125,10 +127,10 @@ func TestCanonicalOrderTwins(t *testing.T) {
 		return d
 	}
 	a, b := build(false), build(true)
-	if CanonicalHash(a) != CanonicalHash(b) {
+	if Canonicalize(a).Hash != Canonicalize(b).Hash {
 		t.Fatal("twin selects: hashes differ for isomorphic DAGs")
 	}
-	oa, ob := CanonicalOrder(a), CanonicalOrder(b)
+	oa, ob := Canonicalize(a).Order, Canonicalize(b).Order
 	cona, conb := a.Consumers(), b.Consumers()
 	for i := range oa {
 		if oa[i].Type != OpSelect {
@@ -158,34 +160,95 @@ func TestCanonicalHashWhileBodyNamesMatter(t *testing.T) {
 		return d
 	}
 	a, b := build("next"), build("step")
-	if CanonicalHash(a) == CanonicalHash(b) {
+	if Canonicalize(a).Hash == Canonicalize(b).Hash {
 		t.Error("WHILE body relation names are semantic (Carried refers to them) and must affect the hash")
+	}
+}
+
+// TestCanonicalHashCarriedTargets pins that a WHILE's loop-carried wiring
+// is part of its identity: swapping which body output feeds which body
+// input is a different loop.
+func TestCanonicalHashCarriedTargets(t *testing.T) {
+	build := func(carried map[string]string) *DAG {
+		body := NewDAG()
+		a := body.AddInput("a", "", pricesSchema())
+		b := body.AddInput("b", "", pricesSchema())
+		body.Add(OpDistinct, "x", Params{}, a)
+		body.Add(OpSort, "y", Params{SortBy: []string{"id"}}, b)
+		d := NewDAG()
+		sa := d.AddInput("a", "in/a", pricesSchema())
+		sb := d.AddInput("b", "in/b", pricesSchema())
+		d.Add(OpWhile, "result", Params{Body: body, MaxIter: 3, Carried: carried}, sa, sb)
+		return d
+	}
+	straight := build(map[string]string{"a": "x", "b": "y"})
+	swapped := build(map[string]string{"a": "y", "b": "x"})
+	if Canonicalize(straight).Hash == Canonicalize(swapped).Hash {
+		t.Error("swapping the targets of Carried did not change the canonical hash")
+	}
+}
+
+// TestInferSchemasLeavesWhileDAGUnchanged pins that schema inference only
+// reads the DAG: a WHILE body's untyped input bridge gets its schema in
+// the returned map, not on the operator, so the DAG's identity — and the
+// body's, which keys the body's history — is the same after inference.
+func TestInferSchemasLeavesWhileDAGUnchanged(t *testing.T) {
+	d := pageRankWhileDAG()
+	body := d.ByOut("final_ranks").Params.Body
+	before, bodyBefore := Canonicalize(d), Canonicalize(body)
+	inSchemas := func() map[string]string {
+		m := map[string]string{}
+		for _, op := range body.Ops {
+			if op.Type == OpInput {
+				m[op.Out] = op.Params.Schema.String()
+			}
+		}
+		return m
+	}
+	declared := inSchemas()
+	schemas, err := d.InferSchemas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := schemas[body.ByOut("ranks")]; got.Arity() != 2 {
+		t.Errorf("bridged body input inferred as %s, want the outer ranks schema", got)
+	}
+	if after := Canonicalize(d); after.Hash != before.Hash {
+		t.Errorf("InferSchemas changed the DAG's canonical hash: %s -> %s", before.Hash, after.Hash)
+	}
+	if after := Canonicalize(body); after.Hash != bodyBefore.Hash {
+		t.Errorf("InferSchemas changed the body's canonical hash: %s -> %s", bodyBefore.Hash, after.Hash)
+	}
+	for name, s := range inSchemas() {
+		if s != declared[name] {
+			t.Errorf("body input %q schema %q -> %q", name, declared[name], s)
+		}
 	}
 }
 
 func TestCanonicalHashStableAcrossRuns(t *testing.T) {
 	// Map iteration order must not leak into the digest.
-	want := CanonicalHash(canonWorkflow(nil, false, 100))
+	want := Canonicalize(canonWorkflow(nil, false, 100)).Hash
 	for i := 0; i < 20; i++ {
-		if got := CanonicalHash(canonWorkflow(nil, false, 100)); got != want {
+		if got := Canonicalize(canonWorkflow(nil, false, 100)).Hash; got != want {
 			t.Fatalf("run %d: hash %s != %s", i, got, want)
 		}
 	}
 }
 
-func BenchmarkCanonicalHash(b *testing.B) {
+func BenchmarkCanonicalize(b *testing.B) {
 	d := canonWorkflow(nil, false, 100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if CanonicalHash(d) == "" {
+		if Canonicalize(d).Hash == "" {
 			b.Fatal("empty hash")
 		}
 	}
 }
 
-func ExampleCanonicalHash() {
+func ExampleCanonicalize() {
 	a := canonWorkflow(nil, false, 100)
 	b := canonWorkflow(map[string]string{"street_price": "renamed"}, true, 100)
-	fmt.Println(CanonicalHash(a) == CanonicalHash(b))
+	fmt.Println(Canonicalize(a).Hash == Canonicalize(b).Hash)
 	// Output: true
 }

@@ -1,24 +1,16 @@
 package ir
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // DAG is a directed acyclic graph of operators. Ops appear in insertion
 // order; edges are the Inputs pointers. A DAG owns ID assignment for its
 // operators.
 type DAG struct {
-	Ops []*Op
-	// inferMu serializes schema inference: inferring a WHILE operator binds
-	// outer schemas onto the body's input ops, and concurrent jobs of one
-	// workflow (Runner.Execute runs independent jobs in goroutines) may
-	// infer over the same shared DAG at once.
-	inferMu sync.Mutex
+	Ops    []*Op
 	nextID int
 	// defects records structural problems observed while manipulating the
 	// DAG (e.g. Clone finding an edge to an operator outside the DAG).
@@ -32,10 +24,11 @@ func NewDAG() *DAG { return &DAG{} }
 // Add creates an operator, assigns it an ID, and appends it to the DAG.
 // Inputs must already belong to the DAG. A WHILE body's operators are
 // renumbered into the parent's ID space so that every operator reachable
-// from a DAG — including nested loop bodies — has a unique ID; traces and
-// history observations key on these IDs. IDs remain deterministic for a
-// fixed construction order, which is what lets workflow history collected
-// on one build of a workflow apply to the next.
+// from a DAG — including nested loop bodies — has a unique ID; execution
+// traces and the partition search's memo key on these IDs. Workflow
+// history does not: it keys operators by canonical position (Canonicalize),
+// so history collected on one build of a workflow applies to renamed and
+// reordered builds too.
 func (d *DAG) Add(t OpType, out string, params Params, inputs ...*Op) *Op {
 	op := &Op{ID: d.nextID, Type: t, Out: out, Inputs: inputs, Params: params}
 	d.nextID++
@@ -259,37 +252,6 @@ func (d *DAG) NumOps() int {
 		}
 	}
 	return n
-}
-
-// Hash returns a stable digest of the DAG's structure and parameters; the
-// workflow-history store keys observations by this hash so repeated runs of
-// the same workflow (possibly at different input sizes) share history.
-func (d *DAG) Hash() string {
-	h := sha256.New()
-	ops, err := d.TopoSort()
-	if err != nil {
-		ops = d.Ops
-	}
-	for _, op := range ops {
-		fmt.Fprintf(h, "%s|%s|", op.Type, op.Out)
-		for _, in := range op.Inputs {
-			fmt.Fprintf(h, "%s,", in.Out)
-		}
-		fmt.Fprintf(h, "|%s|%v|%v|%v|%v|", op.Params.Pred, op.Params.Columns,
-			op.Params.As, op.Params.GroupBy, op.Params.Aggs)
-		fmt.Fprintf(h, "%v|%v|%v|%v|%v|%d|", op.Params.LeftCols, op.Params.RightCols, op.Params.UDFName,
-			op.Params.SortBy, op.Params.Desc, op.Params.Limit)
-		if op.Type == OpArith {
-			// Operand literals matter: two arithmetic steps differing only in
-			// a constant are different workflows.
-			fmt.Fprintf(h, "%s=%s %s %s|", op.Params.Dst, op.Params.ALeft, op.Params.AOp, op.Params.ARght)
-		}
-		if op.Params.Body != nil {
-			// %v prints maps with sorted keys, so Carried hashes stably.
-			fmt.Fprintf(h, "body:%s|%d|%s|%v|", op.Params.Body.Hash(), op.Params.MaxIter, op.Params.CondRel, op.Params.Carried)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // String renders the DAG one operator per line in topological order.

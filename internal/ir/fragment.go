@@ -20,8 +20,7 @@ type Fragment struct {
 	// the fragment (or are workflow sinks) and must be written to the DFS.
 	ExtOut []*Op
 
-	dag     *DAG
-	schemas map[*Op]relation.Schema
+	dag *DAG
 }
 
 // NewFragment builds a fragment from a set of operators belonging to dag.
@@ -77,23 +76,15 @@ func NewFragment(dag *DAG, ops []*Op) (*Fragment, error) {
 	return f, nil
 }
 
-// Schemas lazily computes the inferred output schema of every operator in
-// the parent DAG — the look-ahead type information code generation uses
-// (paper §4.3.4). Computed on first use and cached; partitioning-time
-// fragment churn never pays for it.
+// Schemas infers the output schema of every operator in the parent DAG —
+// the look-ahead type information code generation uses (paper §4.3.4).
+// Only code rendering asks, so partitioning-time fragment churn never
+// pays for it.
 func (f *Fragment) Schemas() (map[*Op]relation.Schema, error) {
-	if f.schemas != nil {
-		return f.schemas, nil
-	}
 	if f.dag == nil {
 		return nil, fmt.Errorf("ir: fragment has no parent DAG")
 	}
-	schemas, err := f.dag.InferSchemas()
-	if err != nil {
-		return nil, err
-	}
-	f.schemas = schemas
-	return schemas, nil
+	return f.dag.InferSchemas()
 }
 
 // DAG returns the parent DAG the fragment was carved from.

@@ -32,44 +32,38 @@ func RegisterUDFSchema(name string, fn UDFSchemaFn) {
 // InferSchemas computes the output schema of every operator, validating
 // column references along the way. WHILE bodies are validated recursively:
 // the body's input relations take the schemas of the outer operators named
-// by the loop-carried mapping.
+// by the loop's inputs. Inference only reads the DAG — bridged body inputs
+// are bound in the returned map, never on the operators — so a compiled
+// DAG may be inferred by concurrent executions and keeps its canonical
+// identity.
 func (d *DAG) InferSchemas() (map[*Op]relation.Schema, error) {
-	d.inferMu.Lock()
-	defer d.inferMu.Unlock()
-	return d.inferLocked()
-}
-
-func (d *DAG) inferLocked() (map[*Op]relation.Schema, error) {
-	ops, err := d.TopoSort()
-	if err != nil {
+	known := make(map[*Op]relation.Schema, len(d.Ops))
+	if err := inferSchemas(d, nil, known); err != nil {
 		return nil, err
 	}
-	out := make(map[*Op]relation.Schema, len(ops))
-	for _, op := range ops {
-		s, err := inferOp(op, out)
-		if err != nil {
-			return nil, err
-		}
-		out[op] = s
-	}
-	return out, nil
+	return known, nil
 }
 
-// inferBodySchemas binds outer input schemas onto a WHILE body's input
-// operators and infers the body, all under the body DAG's lock — the
-// binding mutates shared ops, and concurrent jobs of one workflow may
-// infer over the same body.
-func (d *DAG) inferBodySchemas(outer map[string]relation.Schema) (map[*Op]relation.Schema, error) {
-	d.inferMu.Lock()
-	defer d.inferMu.Unlock()
-	for _, bop := range d.Ops {
-		if bop.Type == OpInput {
-			if s, ok := outer[bop.Out]; ok {
-				bop.Params.Schema = s
-			}
-		}
+// inferSchemas infers every operator of d into known, in topological
+// order. outer binds a WHILE body's input bridges (by relation name) to
+// the schemas of the loop's outer inputs.
+func inferSchemas(d *DAG, outer map[string]relation.Schema, known map[*Op]relation.Schema) error {
+	ops, err := d.TopoSort()
+	if err != nil {
+		return err
 	}
-	return d.inferLocked()
+	for _, op := range ops {
+		if s, ok := outer[op.Out]; ok && op.Type == OpInput {
+			known[op] = s
+			continue
+		}
+		s, err := inferOp(op, known)
+		if err != nil {
+			return err
+		}
+		known[op] = s
+	}
+	return nil
 }
 
 // OutputSchema returns the schema of a single operator given the inferred
@@ -301,14 +295,11 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 		for i, outerIn := range op.Inputs {
 			outer[outerIn.Out] = in[i]
 		}
-		bodySchemas, err := body.inferBodySchemas(outer)
-		if err != nil {
+		// Body schemas land in the caller's map (operator pointers are
+		// unique across bodies), so code generators see types for
+		// loop-body operators too.
+		if err := inferSchemas(body, outer, known); err != nil {
 			return relation.Schema{}, fmt.Errorf("ir: %s body: %w", op, err)
-		}
-		// Surface body schemas to the caller's map so code generators see
-		// types for loop-body operators too.
-		for bop, s := range bodySchemas {
-			known[bop] = s
 		}
 		// Loop-carried outputs must be schema-compatible with their
 		// corresponding inputs.
@@ -317,9 +308,9 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 			if inOp == nil || outOp == nil {
 				return relation.Schema{}, fmt.Errorf("ir: %s: carried %q->%q not in body", op, inName, outName)
 			}
-			if !bodySchemas[inOp].Equal(bodySchemas[outOp]) {
+			if !known[inOp].Equal(known[outOp]) {
 				return relation.Schema{}, fmt.Errorf("ir: %s: carried %q (%s) incompatible with %q (%s)",
-					op, outName, bodySchemas[outOp], inName, bodySchemas[inOp])
+					op, outName, known[outOp], inName, known[inOp])
 			}
 		}
 		// The WHILE's own output is the final value of the designated
@@ -330,7 +321,7 @@ func inferOp(op *Op, known map[*Op]relation.Schema) (relation.Schema, error) {
 		if resOp == nil {
 			return relation.Schema{}, fmt.Errorf("ir: %s: result relation %q not in body", op, res)
 		}
-		return bodySchemas[resOp], nil
+		return known[resOp], nil
 
 	default:
 		return relation.Schema{}, fmt.Errorf("ir: %s: unknown operator type", op)

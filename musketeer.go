@@ -746,17 +746,20 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, rec *obs.
 		}
 		return w.m.runs.Record(d, rec)
 	}
+	// fail is the one failure exit: count it, log it, leave its digest.
+	fail := func(res *core.WorkflowResult, err error) (*Result, error) {
+		w.m.metrics.Counter("workflows_failed_total").Add(1)
+		log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
+		digest("failed", res, err)
+		return nil, err
+	}
 	for _, op := range w.dag.Ops {
 		if op.Type != ir.OpInput {
 			continue
 		}
 		path := engines.InputPath(op)
 		if err := base.Copy(path, ns+"/"+path); err != nil {
-			err = fmt.Errorf("musketeer: staging input %q into session: %w", op.Out, err)
-			w.m.metrics.Counter("workflows_failed_total").Add(1)
-			log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
-			digest("failed", nil, err)
-			return nil, err
+			return fail(nil, fmt.Errorf("musketeer: staging input %q into session: %w", op.Out, err))
 		}
 	}
 	shuffleCodec := relation.CodecTSV
@@ -777,18 +780,11 @@ func (w *Workflow) runSession(ctx context.Context, part *Partitioning, rec *obs.
 	}
 	res, err := r.ExecuteCtx(ctx, w.dag, part)
 	if err != nil {
-		w.m.metrics.Counter("workflows_failed_total").Add(1)
-		log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
-		digest("failed", nil, err)
-		return nil, err
+		return fail(nil, err)
 	}
 	for _, sink := range w.dag.Sinks() {
 		if err := base.Copy(ns+"/"+sink.Out, sink.Out); err != nil {
-			err = fmt.Errorf("musketeer: publishing output %q: %w", sink.Out, err)
-			w.m.metrics.Counter("workflows_failed_total").Add(1)
-			log.Error("workflow_failed").Str("workflow", name).Err(err).Emit()
-			digest("failed", res, err)
-			return nil, err
+			return fail(res, fmt.Errorf("musketeer: publishing output %q: %w", sink.Out, err))
 		}
 	}
 	w.m.metrics.Counter("workflows_completed_total").Add(1)
@@ -865,7 +861,10 @@ func (w *Workflow) planEngines(engine string) ([]*engines.Engine, error) {
 // changed since this plan last ran", which only foreign feedback (another
 // workflow's run, a calibration load) breaks.
 func (w *Workflow) executeTraced(ctx context.Context, engine string) (*Result, error) {
-	var cacheKey string
+	var (
+		cacheKey string
+		canon    *ir.Canon
+	)
 	if pc := w.m.planCache; pc != nil {
 		engs, err := w.planEngines(engine)
 		if err != nil {
@@ -875,9 +874,10 @@ func (w *Workflow) executeTraced(ctx context.Context, engine string) (*Result, e
 		// optimized DAG keys the cache on what the partition search actually
 		// sees; recipes then replay onto optimized DAGs of later submissions.
 		w.Optimize()
-		cacheKey = core.PlanKey(w.dag, engs)
+		canon = ir.Canonicalize(w.dag)
+		cacheKey = core.CanonPlanKey(canon, engs)
 		calVersion := w.m.history.Calibration().Version()
-		if part, ok := pc.Lookup(cacheKey, w.dag, calVersion, w.m.engines); ok {
+		if part, ok := pc.Lookup(cacheKey, w.dag, canon, calVersion, w.m.engines); ok {
 			rec := w.m.startRun()
 			root := rec.StartSpan(nil, "workflow", "pipeline")
 			defer root.End()
@@ -910,7 +910,7 @@ func (w *Workflow) executeTraced(ctx context.Context, engine string) (*Result, e
 	}
 	res, err := w.runSession(ctx, part, rec, root)
 	if pc := w.m.planCache; pc != nil && err == nil {
-		pc.Store(cacheKey, w.dag, w.m.history.Calibration().Version(), part)
+		pc.Store(cacheKey, canon, w.m.history.Calibration().Version(), part)
 	}
 	return res, err
 }
@@ -938,7 +938,7 @@ func (w *Workflow) GeneratedCode(part *Partitioning) (string, error) {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		b.WriteString(plan.Source)
+		b.WriteString(plan.Source())
 	}
 	return b.String(), nil
 }

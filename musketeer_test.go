@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"musketeer/internal/ir"
 	"musketeer/internal/relation"
 )
 
@@ -172,7 +173,7 @@ func TestHistoryAccumulatesAcrossRuns(t *testing.T) {
 	if _, err := wf.Execute(); err != nil {
 		t.Fatal(err)
 	}
-	if m.History().Coverage(wf.DAG().Hash()) == 0 {
+	if m.History().Coverage(ir.Canonicalize(wf.DAG()).Hash) == 0 {
 		t.Error("no history after execution")
 	}
 }
